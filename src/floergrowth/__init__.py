@@ -30,7 +30,7 @@ from .mappingclass import (
     graph_manifold_test,
     periodic_zeta_for_class,
 )
-from .ratfunc import RationalFunction, min_root_modulus
+from .ratfunc import CrossCheckError, RationalFunction, min_root_modulus
 from .reptheory import (
     Representation,
     abelian_quotient_rep,
@@ -77,6 +77,7 @@ __all__ = [
     "twisted_lefschetz",
     "twisted_zeta",
     "RationalFunction",
+    "CrossCheckError",
     "min_root_modulus",
     "GrowthReport",
     "growth_rate",

@@ -2,8 +2,9 @@
 
 Every subcommand reads small JSON or inline descriptions, runs the exact
 machinery, and prints a deterministic JSON payload (or ``--text`` for a
-human-oriented rendering).  Exit codes: 0 success, 2 bad input, and 3 when
-``--strict`` was asked for and some result could not be certified.
+human-oriented rendering).  Exit codes: 0 success, 2 bad input, 3 when
+``--strict`` was asked for and some result could not be certified, and 4
+when an internal cross-check of a result failed.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .mappingclass import (
     graph_manifold_test,
     periodic_zeta_for_class,
 )
-from .ratfunc import CANCEL_TOL, RationalFunction
+from .ratfunc import CANCEL_TOL, CrossCheckError, RationalFunction
 from .reptheory import (
     Representation,
     abelian_quotient_rep,
+    check_block_size,
     trivial_representation,
     twisted_lefschetz,
     twisted_zeta,
@@ -54,6 +56,7 @@ MAX_DEPTH = 16
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNCERTIFIED = 3
+EXIT_CROSSCHECK = 4
 
 
 class CLIError(ValueError):
@@ -96,10 +99,13 @@ def _load_endo(args) -> tuple[Endomorphism, tuple[RingMatrix, ...]]:
     raise CLIError("provide --map FILE or --images 'a b, a'")
 
 
-def _load_rep(args, f: Endomorphism) -> Representation:
+def _load_rep(args, f: Endomorphism, extras) -> Representation:
     if getattr(args, "rep", None):
-        rep = Representation.from_json(_load_json(args.rep))
+        data = _load_json(args.rep)
+        check_block_size(f, int(data["dim"]), extras)
+        rep = Representation.from_json(data)
     elif getattr(args, "modulus", None):
+        check_block_size(f, args.modulus ** f.rank, extras)
         rep = abelian_quotient_rep(f, args.modulus)
     else:
         return trivial_representation(f.rank)
@@ -242,7 +248,7 @@ def _cmd_trace(args) -> tuple[dict, int]:
 
 def _cmd_zeta_twisted(args) -> tuple[dict, int]:
     f, extras = _load_endo(args)
-    rep = _load_rep(args, f)
+    rep = _load_rep(args, f, extras)
     zeta = twisted_zeta(f, rep, extras)
     certification = "exact" if rep.is_exact() else f"float({CANCEL_TOL:g})"
     payload = {
@@ -266,7 +272,7 @@ def _cmd_zeta_twisted(args) -> tuple[dict, int]:
 
 def _cmd_bounds(args) -> tuple[dict, int]:
     f, extras = _load_endo(args)
-    rep = _load_rep(args, f) if (args.rep or args.modulus) else None
+    rep = _load_rep(args, f, extras) if (args.rep or args.modulus) else None
     report = full_report(
         f,
         rep=rep,
@@ -496,6 +502,9 @@ def run(argv=None) -> int:
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except CrossCheckError as e:
+        print(f"error: cross-check failed: {e}", file=sys.stderr)
+        return EXIT_CROSSCHECK
     _emit(payload, args)
     return code
 

@@ -246,6 +246,35 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
         n >>= 1
     return out
 
+
+def sparse_rows(a: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """The nonzero (column, value) pairs of each row."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
+def sparse_mat_mul(rows: Sequence[Sequence[tuple[int, int]]], b) -> list[list[int]]:
+    """The product A·B of a matrix A given by ``sparse_rows`` and a dense B.
+
+    Row i of the product is the combination of B's rows picked out by row i of
+    A, so the cost is nnz(A) times the width of B.  Unit entries, the common
+    case in twisted permutation blocks, copy or add a row without multiplying.
+    """
+    width = len(b[0]) if b else 0
+    out = []
+    for row in rows:
+        acc = None
+        for k, v in row:
+            bk = b[k]
+            if acc is None:
+                acc = list(bk) if v == 1 else [v * y for y in bk]
+            elif v == 1:
+                acc = [x + y for x, y in zip(acc, bk)]
+            else:
+                acc = [x + v * y for x, y in zip(acc, bk)]
+        out.append([0] * width if acc is None else acc)
+    return out
+
+
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

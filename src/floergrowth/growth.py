@@ -19,7 +19,7 @@ import numpy as np
 from .foxcalc import RingMatrix, chain_matrices
 from .freegroup import Endomorphism, IntMatrix
 from .groupring import matrix_norm, norm_matrix, reidemeister_interval
-from .ratfunc import det_one_minus_t
+from .ratfunc import CrossCheckError, det_one_minus_t
 from .reptheory import Representation, trivial_representation, twisted_zeta
 
 SPECTRAL_CROSSCHECK_TOL = 1e-10
@@ -159,7 +159,7 @@ def spectral_radius(mat: IntMatrix) -> float:
             by_power = _block_power_iteration(block)
         scale = max(1.0, by_roots)
         if abs(by_roots - by_power) > SPECTRAL_CROSSCHECK_TOL * scale:
-            raise RuntimeError(
+            raise CrossCheckError(
                 f"spectral radius cross-check failed: {by_roots} vs {by_power}"
             )
         best = max(best, by_roots)
@@ -237,7 +237,7 @@ def full_report(
         "upper_bound_norm": "total group-ring norm of the chain matrices",
     }
     if lower > spectral + 1e-9:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"bound sandwich violated: lower {lower} > spectral upper {spectral}"
         )
     window = None

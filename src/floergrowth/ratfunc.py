@@ -1,24 +1,34 @@
 """Polynomials in t and rational functions with exact or float coefficients.
 
-The exact lane keeps Fractions end to end (group-ring determinants of
-integer-twisted matrices are rational); the float lane carries complex
-coefficients and does root-matching cancellation with a stated tolerance.
-Floats only ever appear at the root-finding boundary.
+The exact lane starts from integer matrices (twisted blocks of permutation
+representations, entrywise-norm matrices), so their characteristic
+polynomials are computed over the integers; Fractions appear only in the
+polynomial gcd that cancels common factors and in series expansion.  The
+float lane carries complex coefficients and does root-matching cancellation
+with a stated tolerance.  Floats only ever appear at the root-finding
+boundary.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from .freegroup import sparse_mat_mul, sparse_rows
+
 log = logging.getLogger(__name__)
 
 ROOT_RESIDUAL_TOL = 1e-8
 CANCEL_TOL = 1e-6
+
+
+class CrossCheckError(RuntimeError):
+    """An internal consistency check of a computed result failed."""
 
 
 def _trim(coeffs):
@@ -88,18 +98,16 @@ def poly_gcd_exact(a, b):
 def det_one_minus_t(mat: Sequence[Sequence], exact: bool):
     """Coefficients of det(I - t*B) by the Faddeev-LeVerrier recurrence.
 
-    Exact inputs (ints/Fractions) give Fraction coefficients; otherwise the
-    arithmetic runs in complex floats.
+    The exact lane needs an integer matrix and returns integers; the float
+    lane runs in complex floats.
     """
+    if exact:
+        return _det_one_minus_t_int(mat)
     n = len(mat)
     if n == 0:
-        return (Fraction(1),) if exact else (complex(1),)
-    if exact:
-        b = [[Fraction(x) for x in row] for row in mat]
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        b = [[complex(x) for x in row] for row in mat]
-        zero, one = complex(0), complex(1)
+        return (complex(1),)
+    b = [[complex(x) for x in row] for row in mat]
+    zero, one = complex(0), complex(1)
 
     def mm(x, y):
         return [
@@ -115,6 +123,34 @@ def det_one_minus_t(mat: Sequence[Sequence], exact: bool):
             m[i][i] = m[i][i] + c
         m = mm(b, m)
         c = -sum(m[i][i] for i in range(n)) / k
+        coeffs.append(c)
+    return _trim(coeffs)
+
+
+def _det_one_minus_t_int(mat: Sequence[Sequence]):
+    """Faddeev-LeVerrier over Python ints, multiplying through B's sparse rows.
+
+    For an integer B every trace in the recurrence is divisible by its step
+    number (the coefficients are integers), so a nonzero remainder means the
+    arithmetic went wrong and raises CrossCheckError.
+    """
+    n = len(mat)
+    try:
+        rows = sparse_rows([[operator.index(x) for x in row] for row in mat])
+    except TypeError:
+        raise ValueError("the exact lane needs an integer matrix") from None
+    m = [[0] * n for _ in range(n)]
+    c = 1
+    coeffs = [1]
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += c
+        m = sparse_mat_mul(rows, m)
+        c, remainder = divmod(-sum(m[i][i] for i in range(n)), k)
+        if remainder:
+            raise CrossCheckError(
+                f"Faddeev-LeVerrier step {k}: trace is not divisible by {k}"
+            )
         coeffs.append(c)
     return _trim(coeffs)
 

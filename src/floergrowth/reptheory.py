@@ -1,43 +1,86 @@
 """Finite-dimensional representations of the mapping-torus group and the
 twisted Lefschetz zeta function.
 
-Two kinds are supported.  Permutation representations carry exact integer
-0/1 matrices and produce exact rational zeta data; unitary representations
-carry complex float matrices (checked unitary to 1e-8) and produce float
-data.  A representation is valid when conjugating each generator matrix by
-the z matrix reproduces the matrix of the generator's image.
+Two kinds are supported.  Permutation representations store each
+permutation as an index tuple p (row r of the 0/1 matrix has its 1 in
+column p[r]), so products of letters cost O(dim) each, and produce exact
+rational zeta data; unitary representations carry complex float matrices
+(checked unitary to 1e-8) and produce float data.  A representation is valid
+when conjugating each generator matrix by the z matrix reproduces the matrix
+of the generator's image.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .foxcalc import RingMatrix, chain_matrices
-from .freegroup import Endomorphism, Word, mat_identity, mat_mul, mat_pow
+from .freegroup import Endomorphism, Word, sparse_mat_mul, sparse_rows
 from .groupring import HMatrix
-from .ratfunc import RationalFunction, det_one_minus_t
+from .ratfunc import RationalFunction, det_one_minus_t, poly_mul
 
 UNITARY_TOL = 1e-8
+# Largest twisted block (chain size x representation dimension) accepted.
+# A block's characteristic polynomial costs about size^2 x nonzeros; cat
+# (a -> aab, b -> ab) at --modulus 11, block 242, takes about 3 s on a 2-core
+# Xeon VM, and at --modulus 12, block 288, about 4.5 s.
+MAX_TWISTED_BLOCK = 256
 
 PERMUTATION = "permutation"
 UNITARY = "unitary"
 
 
-def _is_permutation_matrix(m) -> bool:
-    n = len(m)
+def _permutation(p, dim: int) -> tuple[int, ...]:
+    error = "a permutation image must be an index tuple listing 0..dim-1 once each"
+    try:
+        perm = tuple(operator.index(x) for x in p)
+    except TypeError:
+        raise ValueError(error) from None
+    if sorted(perm) != list(range(dim)):
+        raise ValueError(error)
+    return perm
+
+
+def _compose(p, q) -> tuple[int, ...]:
+    """Index tuple of the matrix product P·Q."""
+    return tuple([q[i] for i in p])
+
+
+def _inverse(p) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def _matrix_to_permutation(m) -> tuple[int, ...]:
+    error = "permutation representation needs 0/1 permutation matrices"
+    out = []
     for row in m:
-        if len(row) != n or any(x not in (0, 1) for x in row) or sum(row) != 1:
-            return False
-    return all(sum(row[j] for row in m) == 1 for j in range(n))
+        ints = [int(x) for x in row]
+        if len(ints) != len(m) or any(x not in (0, 1) for x in ints) or sum(ints) != 1:
+            raise ValueError(error)
+        out.append(ints.index(1))
+    if sorted(out) != list(range(len(m))):
+        raise ValueError(error)
+    return tuple(out)
+
+
+def _permutation_to_matrix(p) -> list[list[int]]:
+    return [[1 if j == p[i] else 0 for j in range(len(p))] for i in range(len(p))]
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Matrices for the fiber generators and for z."""
+    """Images of the fiber generators and of z.
+
+    Permutation images are index tuples (see the module docstring); unitary
+    images are complex matrices.
+    """
 
     dim: int
     kind: str
@@ -48,13 +91,8 @@ class Representation:
         if self.kind not in (PERMUTATION, UNITARY):
             raise ValueError(f"unknown representation kind {self.kind!r}")
         if self.kind == PERMUTATION:
-            gens = tuple(
-                tuple(tuple(int(x) for x in row) for row in g) for g in self.gen_images
-            )
-            z = tuple(tuple(int(x) for x in row) for row in self.z_image)
-            for m in (*gens, z):
-                if len(m) != self.dim or not _is_permutation_matrix(m):
-                    raise ValueError("permutation representation needs 0/1 permutation matrices")
+            gens = tuple(_permutation(g, self.dim) for g in self.gen_images)
+            z = _permutation(self.z_image, self.dim)
             object.__setattr__(self, "gen_images", gens)
             object.__setattr__(self, "z_image", z)
         else:
@@ -78,7 +116,7 @@ class Representation:
 
     def _inv(self, m):
         if self.kind == PERMUTATION:
-            return tuple(zip(*m))
+            return _inverse(m)
         return m.conj().T
 
     def letter_matrix(self, letter: int):
@@ -86,11 +124,11 @@ class Representation:
         return g if letter > 0 else self._inv(g)
 
     def word_matrix(self, w: Word):
-        """Matrix of a fiber word."""
+        """Image of a fiber word: an index tuple or a complex matrix."""
         if self.kind == PERMUTATION:
-            acc = mat_identity(self.dim)
+            acc = tuple(range(self.dim))
             for x in w.letters:
-                acc = mat_mul(acc, self.letter_matrix(x))
+                acc = _compose(acc, self.letter_matrix(x))
             return acc
         acc = np.eye(self.dim, dtype=complex)
         for x in w.letters:
@@ -99,7 +137,10 @@ class Representation:
 
     def z_power(self, k: int):
         if self.kind == PERMUTATION:
-            return mat_pow(self.z_image, k)
+            acc = tuple(range(self.dim))
+            for _ in range(k):
+                acc = _compose(acc, self.z_image)
+            return acc
         return np.linalg.matrix_power(self.z_image, k)
 
     # -- JSON ---------------------------------------------------------------
@@ -108,7 +149,7 @@ class Representation:
     def from_json(cls, data) -> "Representation":
         kind = data["kind"]
         if kind == PERMUTATION:
-            decode = lambda m: tuple(tuple(int(x) for x in row) for row in m)
+            decode = _matrix_to_permutation
         else:
             decode = lambda m: np.array(
                 [[complex(x[0], x[1]) for x in row] for row in m], dtype=complex
@@ -122,7 +163,7 @@ class Representation:
 
     def to_json(self) -> dict:
         if self.kind == PERMUTATION:
-            encode = lambda m: [[int(x) for x in row] for row in m]
+            encode = _permutation_to_matrix
         else:
             encode = lambda m: [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
         return {
@@ -139,8 +180,7 @@ def rho_word(rep: Representation, w: Word):
 
 
 def trivial_representation(rank: int) -> Representation:
-    one = ((1,),)
-    return Representation(1, PERMUTATION, tuple(one for _ in range(rank)), one)
+    return Representation(1, PERMUTATION, tuple((0,) for _ in range(rank)), (0,))
 
 
 def abelian_quotient_rep(f: Endomorphism, modulus: int) -> Representation:
@@ -177,10 +217,8 @@ def abelian_quotient_rep(f: Endomorphism, modulus: int) -> Representation:
     size = len(points)
 
     def perm_from_map(fn):
-        m = [[0] * size for _ in range(size)]
-        for pt, i in index.items():
-            m[index[fn(pt)]][i] = 1
-        return tuple(tuple(row) for row in m)
+        # column i of the matrix has its 1 in row index[fn(point i)]
+        return _inverse([index[fn(pt)] for pt in points])
 
     gens = tuple(
         perm_from_map(
@@ -228,10 +266,8 @@ def validate_rep(rep: Representation, f: Endomorphism, tol: float = UNITARY_TOL)
         lhs_gen = rep.gen_images[i]
         target = rep.word_matrix(f.images[i])
         if rep.kind == PERMUTATION:
-            conj = mat_mul(mat_mul(z_inv, lhs_gen), rep.z_image)
-            residual = max(
-                abs(conj[r][c] - target[r][c]) for r in range(rep.dim) for c in range(rep.dim)
-            )
+            conj = _compose(_compose(z_inv, lhs_gen), rep.z_image)
+            residual = 0 if conj == target else 1
         else:
             conj = z_inv @ lhs_gen @ rep.z_image
             residual = float(np.max(np.abs(conj - target)))
@@ -252,16 +288,11 @@ def twist_matrix(m: HMatrix, rep: Representation):
         out = [[0] * (size * k) for _ in range(size * k)]
         for i in range(size):
             for j in range(size):
-                acc = [[0] * k for _ in range(k)]
                 for w, c in m.body.entries[i][j].terms:
-                    mat = rep.word_matrix(w)
+                    # row r of zpow times the word's matrix is the word's row zpow[r]
+                    cols = _compose(zpow, rep.word_matrix(w))
                     for r in range(k):
-                        for s in range(k):
-                            acc[r][s] += c * mat[r][s]
-                block = mat_mul(zpow, tuple(tuple(row) for row in acc))
-                for r in range(k):
-                    for s in range(k):
-                        out[i * k + r][j * k + s] = block[r][s]
+                        out[i * k + r][j * k + cols[r]] += c
         return tuple(tuple(row) for row in out)
     out = np.zeros((size * k, size * k), dtype=complex)
     zp = np.asarray(zpow)
@@ -274,7 +305,18 @@ def twist_matrix(m: HMatrix, rep: Representation):
     return out
 
 
+def check_block_size(f: Endomorphism, dim: int, extra_matrices: Sequence[RingMatrix] = ()):
+    """Raise ValueError when a twisted chain block would exceed MAX_TWISTED_BLOCK."""
+    chain = max(1, f.rank, *(m.nrows for m in extra_matrices))
+    if chain * dim > MAX_TWISTED_BLOCK:
+        raise ValueError(
+            f"twisted block size {chain * dim} (chain size {chain} x representation "
+            f"dimension {dim}) exceeds the limit {MAX_TWISTED_BLOCK}"
+        )
+
+
 def _degree_blocks(f: Endomorphism, rep: Representation, extra_matrices: Sequence[RingMatrix]):
+    check_block_size(f, rep.dim, extra_matrices)
     f0, f1 = chain_matrices(f)
     return [twist_matrix(HMatrix(1, mat), rep) for mat in (f0, f1, *extra_matrices)]
 
@@ -295,7 +337,10 @@ def twisted_lefschetz(
     total = 0 if rep.is_exact() else complex(0)
     for d, b in enumerate(blocks):
         if rep.is_exact():
-            p = mat_pow(b, n)
+            rows = sparse_rows(b)
+            p = [list(row) for row in b]
+            for _ in range(n - 1):
+                p = sparse_mat_mul(rows, p)
             tr = sum(p[i][i] for i in range(len(p)))
         else:
             p = np.linalg.matrix_power(b, n)
@@ -316,25 +361,11 @@ def twisted_zeta(
     """
     blocks = _degree_blocks(f, rep, extra_matrices)
     exact = rep.is_exact()
-    num = (Fraction(1),) if exact else (complex(1),)
-    den = num
+    num = den = (1,)
     for d, b in enumerate(blocks):
         p = det_one_minus_t(b, exact)
         if d % 2 == 1:
-            num = tuple(c for c in _pmul(num, p))
+            num = poly_mul(num, p)
         else:
-            den = tuple(c for c in _pmul(den, p))
+            den = poly_mul(den, p)
     return RationalFunction.from_parts(num, den, exact)
-
-
-def _pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def min_root_modulus(r: RationalFunction) -> float:
-    """Smallest modulus among the certified roots of either part."""
-    return r.min_root_modulus()

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freegroup import IntMatrix, mat_identity, mat_pow, mat_sub
+from .ratfunc import CrossCheckError
 from .snf import diagonal, smith_normal_form
 from .zetafns import is_hyperbolic
 
@@ -59,7 +60,7 @@ def _enumerate_count(m: IntMatrix, det: int) -> int:
             y0 = m[0][0] * frac[0] + m[0][1] * frac[1]
             y1 = m[1][0] * frac[0] + m[1][1] * frac[1]
             if y0.denominator != 1 or y1.denominator != 1:
-                raise RuntimeError("enumerated coset point fails the congruence")
+                raise CrossCheckError("enumerated coset point fails the congruence")
             seen.add(frac)
     return len(seen)
 
@@ -101,11 +102,11 @@ def fixed_point_count(a: IntMatrix, n: int, enumeration_limit: int = ENUMERATION
     d1, d2 = diagonal(d)
     by_smith = d1 * d2
     if by_smith != abs(det):
-        raise RuntimeError("Smith diagonal product disagrees with the determinant")
+        raise CrossCheckError("Smith diagonal product disagrees with the determinant")
     if by_smith <= enumeration_limit:
         by_enum = _enumerate_count(m, det)
         if by_enum != by_smith:
-            raise RuntimeError(
+            raise CrossCheckError(
                 f"fixed point count mismatch: smith {by_smith}, enumeration {by_enum}"
             )
     return by_smith

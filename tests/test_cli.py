@@ -2,10 +2,17 @@
 
 import json
 import math
+import re
+from fractions import Fraction
+from pathlib import Path
 
-from floergrowth.cli import EXIT_INPUT, EXIT_OK, EXIT_UNCERTIFIED, run
+import pytest
+
+from floergrowth import cli, growth, ratfunc
+from floergrowth.cli import EXIT_CROSSCHECK, EXIT_INPUT, EXIT_OK, EXIT_UNCERTIFIED, run
 
 PHI = (1 + math.sqrt(5)) / 2
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "input-formats.md"
 
 
 def payload_of(capsys, argv, expect=EXIT_OK):
@@ -66,6 +73,44 @@ def test_zeta_twisted_mod3(capsys):
     assert zeta["min_root_modulus"] == 0.5
     assert payload["series"] == ["1"] + ["-1"] * 8
     assert payload["lefschetz_check"] == [str(1 - 2**n) for n in range(1, 9)]
+
+
+def test_zeta_twisted_cat_mod5_series_identity(capsys):
+    """cat at --modulus 5 (blocks of 25 and 50): the log-derivative of the
+    exact zeta series equals the traces of powers, computed independently."""
+    payload = payload_of(
+        capsys, ["zeta-twisted", "--images", "a a b, a b", "--modulus", "5", "--order", "8"]
+    )
+    series = [Fraction(c) for c in payload["series"]]
+    logd = []
+    for n in range(1, 9):
+        logd.append(n * series[n] - sum(logd[j - 1] * series[n - j] for j in range(1, n)))
+    assert [str(c) for c in logd] == payload["lefschetz_check"]
+
+
+@pytest.mark.parametrize("command", ["zeta-twisted", "bounds"])
+def test_twisted_block_cap(capsys, monkeypatch, command):
+    """cat at --modulus 12 needs blocks of 2 x 144 = 288; it is refused before
+    the representation is built."""
+    def not_expected(*args):
+        raise AssertionError("the representation was built")
+
+    monkeypatch.setattr(cli, "abelian_quotient_rep", not_expected)
+    assert run([command, "--images", "a a b, a b", "--modulus", "12"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "twisted block size 288" in err and "exceeds the limit" in err
+
+
+def test_cross_check_failures_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(growth, "_block_power_iteration", lambda block: 0.0)
+    assert run(["bounds", "--images", "a b, a"]) == EXIT_CROSSCHECK
+    captured = capsys.readouterr()
+    assert "spectral radius cross-check failed" in captured.err
+    assert captured.out == ""
+
+    monkeypatch.setattr(ratfunc, "sparse_mat_mul", lambda rows, b: [[1] * len(b) for _ in b])
+    assert run(["zeta-twisted", "--images", "a a b, a b", "--modulus", "2"]) == EXIT_CROSSCHECK
+    assert "not divisible" in capsys.readouterr().err
 
 
 def test_zeta_twisted_unitary_strict(capsys, tmp_path):
@@ -169,6 +214,17 @@ def test_assemble_command(capsys, tmp_path):
 
     assert run(["assemble", "--spec", str(spec), "--iterates", "5"]) == EXIT_INPUT
     assert "stops at iterate 4" in capsys.readouterr().err
+
+
+def test_docs_class_example_assembles(capsys, tmp_path):
+    """The class example in docs/input-formats.md passes assemble --report."""
+    section = DOCS.read_text().split("## Class description JSON")[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    spec = tmp_path / "class.json"
+    spec.write_text(example)
+    payload = payload_of(capsys, ["assemble", "--class", str(spec), "--report"])
+    assert payload["components"] == 5
+    assert payload["report"]["lower_bound"] == pytest.approx(2 + math.sqrt(3))
 
 
 def test_series_command(capsys):

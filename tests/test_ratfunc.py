@@ -3,14 +3,52 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from floergrowth import ratfunc
 from floergrowth.ratfunc import (
+    CrossCheckError,
     RationalFunction,
     det_one_minus_t,
     poly_eval,
     poly_gcd_exact,
     poly_mul,
 )
+
+
+def det_reference(mat):
+    """det(I - tB) by dense Faddeev-LeVerrier over Fraction."""
+    n = len(mat)
+    b = [[Fraction(x) for x in row] for row in mat]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    c = Fraction(1)
+    coeffs = [c]
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += c
+        m = [[sum(b[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        c = -sum(m[i][i] for i in range(n)) / k
+        coeffs.append(c)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 8x8 with negative entries, some zero
+    rows, and sometimes a zero lower-left block (reducible)."""
+    n = draw(st.integers(1, 8))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    mat = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n // 2)):
+        mat[i] = [0] * n
+    if draw(st.booleans()):
+        split = draw(st.integers(1, n))
+        for i in range(split, n):
+            mat[i][:split] = [0] * split
+    return mat
 
 
 def test_poly_helpers():
@@ -30,6 +68,32 @@ def test_det_one_minus_t():
     assert det_one_minus_t([[2]], exact=True) == (1, -2)
     approx = det_one_minus_t([[1.0, 1.0], [1.0, 0.0]], exact=False)
     assert max(abs(a - b) for a, b in zip(approx, (1, -1, -1))) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_det_one_minus_t_integer_matches_fraction_reference(mat):
+    got = det_one_minus_t(mat, exact=True)
+    assert got == det_reference(mat)
+    assert all(type(c) is int for c in got)
+
+
+def test_det_one_minus_t_rejects_non_integer_exact_input():
+    with pytest.raises(ValueError, match="integer matrix"):
+        det_one_minus_t([[Fraction(1, 2)]], exact=True)
+    with pytest.raises(ValueError, match="integer matrix"):
+        det_one_minus_t([[1.0, 0], [0, 1]], exact=True)
+
+
+def test_det_one_minus_t_division_check(monkeypatch):
+    """A wrong product makes some trace indivisible by its step; the
+    recurrence must raise rather than round."""
+    def all_ones(rows, b):  # trace 3 at every step, which 2 does not divide
+        return [[1] * len(b) for _ in b]
+
+    monkeypatch.setattr(ratfunc, "sparse_mat_mul", all_ones)
+    with pytest.raises(CrossCheckError, match="step 2: trace is not divisible by 2"):
+        det_one_minus_t([[0] * 3 for _ in range(3)], exact=True)
 
 
 def test_exact_gcd_cancellation():

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floergrowth.foxcalc import RingMatrix, jacobian
 from floergrowth.freegroup import Endomorphism, Word, abelianize, mat_pow, mat_trace
 from floergrowth.groupring import HMatrix, reidemeister_interval
+from floergrowth.ratfunc import min_root_modulus
 from floergrowth.reptheory import (
     Representation,
     abelian_quotient_rep,
-    min_root_modulus,
     rho_word,
     trivial_representation,
     twist_matrix,
@@ -21,6 +23,27 @@ from floergrowth.reptheory import (
     validate_rep,
 )
 from helpers import random_endo
+
+
+def dense(p):
+    """0/1 matrix of an index-tuple permutation (row r has its 1 in column p[r])."""
+    return tuple(tuple(1 if j == p[i] else 0 for j in range(len(p))) for i in range(len(p)))
+
+
+def log_derivative(series):
+    """L_1..L_N with t d/dt log(sum s_n t^n) = sum L_n t^n, for s_0 = 1."""
+    out = []
+    for n in range(1, len(series)):
+        out.append(n * series[n] - sum(out[j - 1] * series[n - j] for j in range(1, n)))
+    return out
+
+
+# Elementary Nielsen automorphisms of F(a, b); their compositions are
+# automorphisms, so every abelian quotient representation exists.
+NIELSEN = [
+    Endomorphism.from_images_text(images)
+    for images in (["a b", "b"], ["b a", "b"], ["A", "b"], ["b", "a"], ["a", "b a"], ["a", "B"])
+]
 
 
 def exp_series(lefschetz_values, order, exact):
@@ -64,25 +87,29 @@ def test_representation_validation_errors():
         Representation(2, "permutation", (((1, 1), (0, 1)),), ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
         Representation(1, "unitary", (np.array([[2.0]]),), np.array([[1.0]]))
+    with pytest.raises(ValueError):
+        Representation(2, "permutation", ((1, 1),), (0, 1))
+    with pytest.raises(ValueError):
+        Representation.from_json({"dim": 2, "kind": "permutation", "a": [[[1, 0], [1, 0]]], "z": [[1, 0], [0, 1]]})
 
 
 def test_rho_word(doubling):
     rep = abelian_quotient_rep(doubling, 3)
     ident = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-    assert rho_word(rep, Word(())) == ident
-    assert rho_word(rep, Word.parse("a A")) == ident
-    pa = rho_word(rep, Word.parse("a"))
-    assert rho_word(rep, Word.parse("a a")) == tuple(
+    assert dense(rho_word(rep, Word(()))) == ident
+    assert dense(rho_word(rep, Word.parse("a A"))) == ident
+    pa = dense(rho_word(rep, Word.parse("a")))
+    assert dense(rho_word(rep, Word.parse("a a"))) == tuple(
         tuple(sum(pa[i][k] * pa[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )
     # a has order 3 in the quotient
-    assert rho_word(rep, Word.parse("a^3")) == ident
+    assert dense(rho_word(rep, Word.parse("a^3"))) == ident
 
 
 def test_twist_matrix_examples(golden, doubling):
     rep3 = abelian_quotient_rep(doubling, 3)
     unit = HMatrix(1, RingMatrix.identity(1))
-    assert twist_matrix(unit, rep3) == rep3.z_image
+    assert twist_matrix(unit, rep3) == dense(rep3.z_image)
     # the trivial representation reduces the twist to plain augmentation
     blocks = twist_matrix(HMatrix(1, jacobian(golden)), trivial_representation(2))
     assert blocks == ((1, 1), (1, 0))
@@ -223,3 +250,38 @@ def test_twisted_zeta_with_extra_matrix(doubling):
     assert list(zeta.series(order)) == exp_series(lefs, order, exact=True)
     # degree 2 is even, so the new block multiplies the denominator
     assert zeta.denominator != twisted_zeta(doubling, rep).denominator
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.permutations(range(k)), min_size=3, max_size=3),
+            st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12),
+        )
+    )
+)
+def test_word_matrix_is_product_of_letter_matrices(case):
+    k, (a, b, z), letters = case
+    rep = Representation(k, "permutation", (tuple(a), tuple(b)), tuple(z))
+    data = rep.to_json()
+    letter = {}
+    for i, m in enumerate(data["a"], start=1):
+        letter[i] = m
+        letter[-i] = [list(col) for col in zip(*m)]  # inverse = transpose
+    want = [[int(i == j) for j in range(k)] for i in range(k)]
+    for x in letters:
+        want = [[sum(want[i][l] * letter[x][l][j] for l in range(k)) for j in range(k)] for i in range(k)]
+    assert dense(rep.word_matrix(Word(tuple(letters)))) == tuple(map(tuple, want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(NIELSEN), min_size=1, max_size=5), st.integers(2, 4))
+def test_zeta_log_derivative_is_twisted_lefschetz(moves, modulus):
+    f = moves[0]
+    for g in moves[1:]:
+        f = g.compose(f)
+    rep = abelian_quotient_rep(f, modulus)
+    series = twisted_zeta(f, rep).series(8)
+    assert log_derivative(series) == [twisted_lefschetz(f, rep, n) for n in range(1, 9)]
