@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -79,11 +78,11 @@ def _load_json(path: str):
         raise CLIError(f"{path}: invalid JSON ({e})")
 
 
-def _ring_matrix(rows) -> RingMatrix:
+def _ring_matrix(rows, rank: int) -> RingMatrix:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise CLIError("extra matrices must be rectangular and nonempty")
     return RingMatrix(
-        tuple(tuple(RingElem.parse(cell) for cell in row) for row in rows)
+        tuple(tuple(RingElem.parse(cell, rank) for cell in row) for row in rows)
     )
 
 
@@ -91,7 +90,7 @@ def _load_endo(args) -> tuple[Endomorphism, tuple[RingMatrix, ...]]:
     if getattr(args, "map", None):
         data = _load_json(args.map)
         f = Endomorphism.from_json(data)
-        extras = tuple(_ring_matrix(m) for m in data.get("extra_matrices", []))
+        extras = tuple(_ring_matrix(m, f.rank) for m in data.get("extra_matrices", []))
         return f, extras
     if getattr(args, "images", None):
         parts = [p.strip() for p in re.split(r"[,;]", args.images) if p.strip()]
@@ -144,17 +143,6 @@ def _parse_dims_map(text: str) -> dict[int, int]:
     if not out:
         raise CLIError("--dims is empty")
     return out
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("FLOERGROWTH_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        k = int(raw)
-    except ValueError:
-        raise CLIError(f"FLOERGROWTH_THREADS must be an integer, got {raw!r}")
-    return k if k > 1 else None
 
 
 # -- output rendering ----------------------------------------------------------
@@ -221,16 +209,13 @@ def _cmd_fox(args) -> tuple[dict, int]:
 
 def _cmd_trace(args) -> tuple[dict, int]:
     f, extras = _load_endo(args)
-    threads = _threads()
     rows = []
     all_certified = True
     for n in range(1, args.n + 1):
         h = reidemeister_trace(f, n, extras)
         row = {"n": n, "trace": h.body.to_text()}
         if not args.no_interval:
-            iv = norm_interval(
-                h, f, search_depth=args.depth, threads=threads
-            )
+            iv = norm_interval(h, f, search_depth=args.depth)
             row.update(
                 norm_lower=iv.lower,
                 norm_upper=iv.upper,

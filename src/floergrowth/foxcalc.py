@@ -1,10 +1,12 @@
 """Free differential calculus on the integral group ring of a free group.
 
-Elements are finite Z-linear combinations of reduced words, kept in a
-canonical sorted form so equality is structural.  The derivative of a word is
-computed in one left-to-right pass over its letters: a positive letter a_j
-contributes the prefix before it, a negative letter a_j^-1 contributes minus
-the prefix *including* it.
+Elements are finite Z-linear combinations of reduced words, stored as a dict
+from word to nonzero coefficient.  Equality is dict equality, so it does not
+depend on the order in which terms were added; the canonical length-
+lexicographic term order (``Word.sort_key``) is applied only when an element
+is rendered.  The derivative of a word is computed in one left-to-right pass
+over its letters: a positive letter a_j contributes the prefix before it, a
+negative letter a_j^-1 contributes minus the prefix *including* it.
 """
 
 from __future__ import annotations
@@ -18,20 +20,33 @@ from .freegroup import Endomorphism, IntMatrix, Word
 _TERM_RE = re.compile(r"([+-])?\s*(\d+)?\s*((?:[A-Za-z](?:\^-?\d+)?\s*)*)")
 
 
-def _canonical(terms: Mapping[Word, int]) -> tuple[tuple[Word, int], ...]:
-    items = [(w, int(c)) for w, c in terms.items() if c]
-    items.sort(key=lambda wc: wc[0].sort_key())
-    return tuple(items)
-
-
-@dataclass(frozen=True, slots=True)
 class RingElem:
     """An element of the integral group ring of the free group."""
 
-    terms: tuple[tuple[Word, int], ...] = ()
+    __slots__ = ("_coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical(dict(self.terms)))
+    def __init__(self, terms: Iterable[tuple[Word, int]] = ()):
+        self._coeffs = {w: int(c) for w, c in dict(terms).items() if c}
+
+    @property
+    def terms(self):
+        """The (word, coefficient) pairs, in no particular order."""
+        return self._coeffs.items()
+
+    def sorted_terms(self) -> list[tuple[Word, int]]:
+        """The (word, coefficient) pairs in canonical term order."""
+        return sorted(self._coeffs.items(), key=lambda wc: wc[0].sort_key())
+
+    def __eq__(self, other):
+        if not isinstance(other, RingElem):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def __repr__(self) -> str:
+        return f"RingElem(terms={tuple(self.sorted_terms())!r})"
 
     @classmethod
     def zero(cls) -> "RingElem":
@@ -47,59 +62,72 @@ class RingElem:
 
     @classmethod
     def from_dict(cls, d: Mapping[Word, int]) -> "RingElem":
-        return cls(tuple(d.items()))
+        return cls(d.items())
 
     def as_dict(self) -> dict[Word, int]:
-        return dict(self.terms)
+        return dict(self._coeffs)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def __add__(self, other: "RingElem") -> "RingElem":
-        acc = dict(self.terms)
-        for w, c in other.terms:
-            acc[w] = acc.get(w, 0) + c
-        return RingElem.from_dict(acc)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        acc = dict(self._coeffs)
+        for w, c in other._coeffs.items():
+            s = acc.get(w, 0) + c
+            if s:
+                acc[w] = s
+            else:
+                del acc[w]
+        return _elem(acc)
 
     def __neg__(self) -> "RingElem":
-        return RingElem(tuple((w, -c) for w, c in self.terms))
+        return _elem({w: -c for w, c in self._coeffs.items()})
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         acc: dict[Word, int] = {}
-        for u, cu in self.terms:
-            for v, cv in other.terms:
+        get = acc.get
+        right = other._coeffs.items()
+        for u, cu in self._coeffs.items():
+            for v, cv in right:
                 w = u * v
-                acc[w] = acc.get(w, 0) + cu * cv
-        return RingElem.from_dict(acc)
+                acc[w] = get(w, 0) + cu * cv
+        return _elem({w: c for w, c in acc.items() if c})
 
     def scale(self, c: int) -> "RingElem":
-        return RingElem(tuple((w, c * k) for w, k in self.terms))
+        if not c:
+            return RingElem()
+        return _elem({w: c * k for w, k in self._coeffs.items()})
 
     def map_words(self, fn: Callable[[Word], Word]) -> "RingElem":
         acc: dict[Word, int] = {}
-        for w, c in self.terms:
+        get = acc.get
+        for w, c in self._coeffs.items():
             img = fn(w)
-            acc[img] = acc.get(img, 0) + c
-        return RingElem.from_dict(acc)
+            acc[img] = get(img, 0) + c
+        return _elem({w: c for w, c in acc.items() if c})
 
     def augment(self) -> int:
         """Sum of coefficients (the augmentation map to Z)."""
-        return sum(c for _, c in self.terms)
+        return sum(self._coeffs.values())
 
     def norm(self) -> int:
         """Sum of absolute values of the coefficients."""
-        return sum(abs(c) for _, c in self.terms)
+        return sum(map(abs, self._coeffs.values()))
 
     # -- text -------------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self._coeffs:
             return "0"
         chunks = []
-        for i, (w, c) in enumerate(self.terms):
+        for i, (w, c) in enumerate(self.sorted_terms()):
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             body = w.to_text()
@@ -142,6 +170,16 @@ class RingElem:
                 pos += 1
             first = False
         return cls.from_dict(acc)
+
+
+_new_elem = object.__new__
+
+
+def _elem(coeffs: dict[Word, int]) -> RingElem:
+    """An element owning ``coeffs``, which must hold no zero coefficient."""
+    x = _new_elem(RingElem)
+    x._coeffs = coeffs
+    return x
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,22 +1,31 @@
 """Reduced words of a finitely generated free group and its endomorphisms.
 
 A letter is a nonzero int: ``+i`` is the i-th generator (1-based), ``-i`` its
-inverse.  Words are stored freely reduced.  Text I/O writes generators as
-``a b c ...`` and inverses as ``A B C ...`` (``a^-1`` style exponents are also
-accepted on input).
+inverse.  Words are stored freely reduced.  The public constructor
+``Word(letters)`` reduces its input, so parsed and user-supplied words are
+always checked.  Products, inverses and endomorphism images are built from
+operands that are already reduced, so cancellation can only happen at the
+junction of two operands: those paths cancel there alone and build the result
+through the private constructor ``_word``, which skips the reduction pass.
+Each endomorphism tabulates the images of both signs of every letter once, at
+construction.  Text I/O writes generators as ``a b c ...`` and inverses as
+``A B C ...`` (``a^-1`` style exponents are also accepted on input).
 """
 
 from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from operator import neg
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 _LOWER = string.ascii_lowercase
 _MAX_NAMED = len(_LOWER)
+_NAMES = {s * i: ch if s > 0 else ch.upper() for i, ch in enumerate(_LOWER, 1) for s in (1, -1)}
 
 
 def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
@@ -32,6 +41,14 @@ def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _junction(a: Sequence[int], b: Sequence[int]) -> int:
+    """How many letters cancel where the reduced ``a`` meets the reduced ``b``."""
+    k, m = 0, min(len(a), len(b))
+    while k < m and a[-1 - k] == -b[k]:
+        k += 1
+    return k
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word; ``Word()`` is the identity."""
@@ -44,10 +61,18 @@ class Word:
     # -- algebra ---------------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        a, b = self.letters, other.letters
+        if not a:
+            return other
+        if not b:
+            return self
+        if a[-1] != -b[0]:
+            return _word(a + b)
+        k = _junction(a, b)
+        return _word(a[: len(a) - k] + b[k:])
 
     def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
+        return _word(tuple(map(neg, reversed(self.letters))))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -72,16 +97,15 @@ class Word:
 
     def exponent_vector(self, rank: int) -> tuple[int, ...]:
         """Image in the free abelianization Z^rank (signed letter counts)."""
-        v = [0] * rank
-        for x in self.letters:
+        counts = Counter(self.letters)
+        for x in counts:
             if abs(x) > rank:
                 raise ValueError(f"letter {x} exceeds rank {rank}")
-            v[abs(x) - 1] += 1 if x > 0 else -1
-        return tuple(v)
+        return tuple(counts[i] - counts[-i] for i in range(1, rank + 1))
 
     def sort_key(self):
         # length-lexicographic; the inverse of a generator sorts just after it
-        return (len(self.letters), tuple((abs(x), 0 if x > 0 else 1) for x in self.letters))
+        return (len(self.letters), tuple([2 * x - 1 if x > 0 else -2 * x for x in self.letters]))
 
     # -- text ------------------------------------------------------------
 
@@ -109,16 +133,24 @@ class Word:
     def to_text(self) -> str:
         if not self.letters:
             return "1"
-        out = []
-        for x in self.letters:
-            if abs(x) > _MAX_NAMED:
-                raise ValueError("text form supports at most 26 generators")
-            ch = _LOWER[abs(x) - 1]
-            out.append(ch if x > 0 else ch.upper())
-        return " ".join(out)
+        try:
+            return " ".join(map(_NAMES.__getitem__, self.letters))
+        except KeyError:
+            raise ValueError(f"text form supports at most {_MAX_NAMED} generators") from None
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+_new_word = object.__new__
+_set_letters = Word.letters.__set__
+
+
+def _word(letters: tuple[int, ...]) -> Word:
+    """A word from letters the caller knows are reduced; skips the check."""
+    w = _new_word(Word)
+    _set_letters(w, letters)
+    return w
 
 
 def reduce_word(letters: Sequence[int], rank: int | None = None) -> Word:
@@ -135,6 +167,8 @@ class Endomorphism:
 
     rank: int
     images: tuple[Word, ...]
+    # letter -> letters of its image, for both signs of every generator
+    _table: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -146,6 +180,10 @@ class Endomorphism:
             if w.max_index() > self.rank:
                 raise ValueError(f"image {w} uses a generator outside rank {self.rank}")
         object.__setattr__(self, "images", images)
+        table = {}
+        for i, w in enumerate(images, 1):
+            table[i], table[-i] = w.letters, w.inverse().letters
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def identity(cls, rank: int) -> "Endomorphism":
@@ -157,11 +195,17 @@ class Endomorphism:
         return cls(rank, tuple(Word.parse(s, rank) for s in images))
 
     def apply(self, w: Word) -> Word:
-        letters: list[int] = []
+        table = self._table
+        out: list[int] = []
         for x in w.letters:
-            img = self.images[abs(x) - 1]
-            letters.extend(img.letters if x > 0 else img.inverse().letters)
-        return Word(tuple(letters))
+            img = table[x]
+            if out and img and out[-1] == -img[0]:
+                k = _junction(out, img)
+                del out[-k:]
+                out.extend(img[k:])
+            else:
+                out.extend(img)
+        return _word(tuple(out))
 
     __call__ = apply
 

@@ -14,9 +14,9 @@ sides and collapses whenever the two agree.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .foxcalc import RingElem, RingMatrix, chain_matrices, endo_on_elem
@@ -120,6 +120,16 @@ def matrix_norm(m: RingMatrix | HMatrix) -> int:
 
 # -- orbit-class invariants -------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _orbit_frame(f: Endomorphism, n: int) -> tuple[IntMatrix, IntMatrix, tuple[int, ...]]:
+    """The abelianized map A, and Q and the diagonal of the Smith form of
+    I - A^n, shared by every term of an n-th trace."""
+    a = f.abelianize()
+    m = mat_sub(mat_identity(f.rank), mat_pow(a, n))
+    d, _, q = smith_normal_form(m)
+    return a, q, tuple(diagonal(d))
+
+
 def orbit_coordinate(g: Word, f: Endomorphism, n: int) -> tuple[int, ...]:
     """Conjugacy-invariant label of the section-term ``z^n g``.
 
@@ -131,10 +141,7 @@ def orbit_coordinate(g: Word, f: Endomorphism, n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = f.abelianize()
-    m = mat_sub(mat_identity(f.rank), mat_pow(a, n))
-    d, _, q = smith_normal_form(m)
-    diag = diagonal(d)
+    a, q, diag = _orbit_frame(f, n)
 
     def canonical(vec: Sequence[int]) -> tuple[int, ...]:
         w = vec_mat(vec, q)
@@ -199,6 +206,8 @@ def _reach_set(
     # left factors fn(x)^-1 for each letter x, precomputed
     pos_left = [fn.images[j].inverse() for j in range(rank)]
     neg_left = [fn.images[j] for j in range(rank)]
+    pos_right = [Word((j + 1,)) for j in range(rank)]
+    neg_right = [Word((-(j + 1),)) for j in range(rank)]
     length_cap = len(g) + depth * (1 + max(len(w) for w in fn.images)) + 4
 
     seen: dict[Word, int] = {g: 0}
@@ -215,8 +224,8 @@ def _reach_set(
             continue
         for j in range(rank):
             for new in (
-                pos_left[j] * cur * Word((j + 1,)),
-                neg_left[j] * cur * Word((-(j + 1),)),
+                pos_left[j] * cur * pos_right[j],
+                neg_left[j] * cur * neg_right[j],
             ):
                 if len(new) <= length_cap and new not in seen:
                     seen[new] = cost + 1
@@ -245,7 +254,6 @@ def norm_interval(
     f: Endomorphism,
     search_depth: int = DEFAULT_SEARCH_DEPTH,
     max_states: int = _MAX_REACH_STATES,
-    threads: int | None = None,
 ) -> NormInterval:
     """Bracket the norm of the class sum of a homogeneous element.
 
@@ -274,19 +282,7 @@ def norm_interval(
             continue
         if fn is None:
             fn = f.iterate(n)
-        words = [w for w, _ in grp]
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reaches = list(
-                    pool.map(
-                        lambda w: _reach_set(w, f, fn, n, search_depth, max_states),
-                        words,
-                    )
-                )
-        else:
-            reaches = [
-                _reach_set(w, f, fn, n, search_depth, max_states) for w in words
-            ]
+        reaches = [_reach_set(w, f, fn, n, search_depth, max_states) for w, _ in grp]
         uf = _UnionFind(len(grp))
         for i in range(len(grp)):
             for j in range(i + 1, len(grp)):
@@ -307,8 +303,7 @@ def reidemeister_interval(
     search_depth: int = DEFAULT_SEARCH_DEPTH,
     extra_matrices: Sequence[RingMatrix] = (),
     max_states: int = _MAX_REACH_STATES,
-    threads: int | None = None,
 ) -> NormInterval:
     """Certified bracket on the class-sum norm of the n-th Reidemeister trace."""
     h = reidemeister_trace(f, n, extra_matrices)
-    return norm_interval(h, f, search_depth=search_depth, max_states=max_states, threads=threads)
+    return norm_interval(h, f, search_depth=search_depth, max_states=max_states)

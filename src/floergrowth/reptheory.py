@@ -299,7 +299,8 @@ def twist_matrix(m: HMatrix, rep: Representation):
     for i in range(size):
         for j in range(size):
             acc = np.zeros((k, k), dtype=complex)
-            for w, c in m.body.entries[i][j].terms:
+            # canonical order, so equal entries give the same float sum
+            for w, c in m.body.entries[i][j].sorted_terms():
                 acc += c * rep.word_matrix(w)
             out[i * k : (i + 1) * k, j * k : (j + 1) * k] = zp @ acc
     return out

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from floergrowth.freegroup import Endomorphism, Word
 
 
@@ -18,6 +20,25 @@ def random_reduced_word(rng: random.Random, rank: int, max_len: int) -> Word:
             continue
         letters.append(letter)
     return Word(tuple(letters))
+
+
+def reference_reduce(letters) -> tuple[int, ...]:
+    """Free reduction one letter at a time on a stack: the oracle for words."""
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+@st.composite
+def reduced_words(draw, rank: int, max_len: int = 12) -> Word:
+    """Hypothesis strategy: a reduced word over `rank` generators."""
+    alphabet = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    raw = draw(st.lists(st.sampled_from(alphabet), max_size=max_len))
+    return Word(reference_reduce(raw))
 
 
 def random_endo(rng: random.Random, rank: int, max_image_len: int) -> Endomorphism:

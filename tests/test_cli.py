@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end via run(argv)."""
 
+import hashlib
 import json
 import math
 import re
@@ -269,6 +270,13 @@ def test_bad_input_reporting(capsys, tmp_path):
     assert run(["fox", "--images", "a q"]) == EXIT_INPUT
     capsys.readouterr()
 
+    # an extra matrix may only use the map's generators
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps({"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1 + c"]]]}))
+    for argv in (["trace", "--n", "2", "--no-interval"], ["zeta-twisted", "--modulus", "2"]):
+        assert run([*argv, "--endo", str(outside)]) == EXIT_INPUT
+        assert "exceeds rank 2" in capsys.readouterr().err
+
 
 def test_output_is_deterministic(capsys):
     first = payload_and_raw(capsys, ["trace", "--images", "a b, a", "--n", "3"])
@@ -285,17 +293,37 @@ def payload_and_raw(capsys, argv):
     return capsys.readouterr().out
 
 
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    argv = ["trace", "--images", "a b, a", "--n", "3"]
-    monkeypatch.delenv("FLOERGROWTH_THREADS", raising=False)
-    plain = payload_and_raw(capsys, argv)
-    monkeypatch.setenv("FLOERGROWTH_THREADS", "2")
-    threaded = payload_and_raw(capsys, argv)
-    assert plain == threaded
+# SHA-256 of the full stdout of run(argv).  Any change to canonical term
+# order, word rendering or payload layout changes these digests; update them
+# only together with a note saying why the output changed.
+PINNED_DIGESTS = [
+    pytest.param(
+        ["trace", "--images", "a b, a", "--n", "6"],
+        "965fdb264d813b476c5ce5adbdf827f0143a293c5e780b95c60f697b5a82b155",
+        id="golden-trace-n6",
+    ),
+    pytest.param(
+        ["trace", "--images", "a a b, a b", "--n", "6"],
+        "2a1a121c8104c0e288c165186617021a213d3b82f10d4874e53a18b154ed2224",
+        id="cat-trace-n6",
+    ),
+    pytest.param(
+        ["trace", "--images", "a b, b c, c a B", "--n", "4"],
+        "094c066a4d31ca5b502f462dfec3d614bb28f25a784a120d64a2be499872ae5d",
+        id="r3-trace-n4",
+    ),
+    pytest.param(
+        ["bounds", "--images", "a a b, a b"],
+        "6739bc45fd68a7533875365c591ba59e1bc2f96ea2a92684d33c16de4595f81d",
+        id="cat-bounds",
+    ),
+]
 
-    monkeypatch.setenv("FLOERGROWTH_THREADS", "two")
-    assert run(argv) == EXIT_INPUT
-    capsys.readouterr()
+
+@pytest.mark.parametrize("argv,digest", PINNED_DIGESTS)
+def test_output_bytes_pinned(capsys, argv, digest):
+    out = payload_and_raw(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_text_mode(capsys):

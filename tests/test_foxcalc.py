@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floergrowth.foxcalc import (
     RingElem,
@@ -13,7 +15,7 @@ from floergrowth.foxcalc import (
     jacobian,
 )
 from floergrowth.freegroup import Word, abelianize, compose
-from helpers import random_endo, random_reduced_word
+from helpers import random_endo, random_reduced_word, reduced_words
 
 
 def elem(text: str) -> RingElem:
@@ -51,17 +53,16 @@ def test_derivative_product_rule():
             assert left == right
 
 
-def test_fundamental_identity():
-    """sum_j dw/da_j (a_j - 1) == w - 1 for random words."""
-    rng = random.Random(73)
-    for _ in range(300):
-        rank = rng.randint(1, 4)
-        w = random_reduced_word(rng, rank, 30)
-        total = RingElem.zero()
-        for j in range(1, rank + 1):
-            step = elem(Word((j,)).to_text()) - RingElem.one()
-            total = total + fox_derivative(w, j) * step
-        assert total == RingElem.monomial(w) - RingElem.one()
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), reduced_words(r, 30))))
+def test_fundamental_identity(rank_word):
+    """sum_j dw/da_j (a_j - 1) == w - 1."""
+    rank, w = rank_word
+    total = RingElem.zero()
+    for j in range(1, rank + 1):
+        step = RingElem.monomial(Word((j,))) - RingElem.one()
+        total = total + fox_derivative(w, j, rank) * step
+    assert total == RingElem.monomial(w) - RingElem.one()
 
 
 def test_jacobian_examples(identity2, doubling, golden):
@@ -163,3 +164,38 @@ def test_endo_on_elem(golden):
     x = elem("1 + a - b A")
     image = endo_on_elem(golden, x)
     assert image == elem("1 + a b") + elem("- a B A")
+
+
+# -- properties of dict-backed ring elements ----------------------------------
+
+@st.composite
+def term_lists(draw, rank: int = 3):
+    """Distinct words with nonzero coefficients, in drawn order."""
+    words = draw(st.lists(reduced_words(rank, 6), unique=True, max_size=8))
+    coeffs = draw(
+        st.lists(st.integers(-5, 5).filter(bool), min_size=len(words), max_size=len(words))
+    )
+    return list(zip(words, coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists(), st.randoms(use_true_random=False))
+def test_ring_elem_equality_ignores_insertion_order(terms, rnd):
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    x, y = RingElem(terms), RingElem(shuffled)
+    assert x == y
+    assert hash(x) == hash(y)
+    assert x.to_text() == y.to_text()
+    # built up by addition, term by term, in the shuffled order
+    z = RingElem.zero()
+    for w, c in shuffled:
+        z = z + RingElem.monomial(w, c)
+    assert z == x and hash(z) == hash(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists())
+def test_ring_elem_text_roundtrip_property(terms):
+    x = RingElem(terms)
+    assert RingElem.parse(x.to_text()) == x

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floergrowth.freegroup import (
     Endomorphism,
@@ -14,7 +16,13 @@ from floergrowth.freegroup import (
     mat_mul,
     reduce_word,
 )
-from helpers import fibonacci, random_endo, random_reduced_word
+from helpers import (
+    fibonacci,
+    random_endo,
+    random_reduced_word,
+    reduced_words,
+    reference_reduce,
+)
 
 
 def test_reduce_cancels_adjacent_inverses():
@@ -156,3 +164,60 @@ def test_endomorphism_validation():
         Endomorphism(2, (Word((1,)),))  # wrong number of images
     with pytest.raises(ValueError):
         Endomorphism(1, (Word((2,)),))  # image uses a letter outside the rank
+
+
+# -- properties of the junction-cancelling core --------------------------------
+
+@st.composite
+def cancelling_pairs(draw):
+    """Reduced u, v where v starts by undoing the last k letters of u.
+
+    k runs from 0 (no cancellation) to len(u) (u cancels completely), so the
+    product exercises no, partial and full cancellation at the junction.
+    """
+    rank = draw(st.integers(1, 3))
+    u = draw(reduced_words(rank, 14))
+    k = draw(st.integers(0, len(u)))
+    undo = tuple(-x for x in reversed(u.letters[len(u) - k :]))
+    tail = draw(reduced_words(rank, 8))
+    return u, Word(reference_reduce(undo + tail.letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cancelling_pairs())
+def test_product_matches_full_reduction(pair):
+    u, v = pair
+    expected = reference_reduce(u.letters + v.letters)
+    assert (u * v).letters == expected
+    assert u * v == Word(u.letters + v.letters)
+    assert (v.inverse() * u.inverse()).letters == reference_reduce(
+        tuple(-x for x in reversed(expected))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30))
+def test_public_constructor_reduces(raw):
+    w = Word(tuple(raw))
+    assert w.letters == reference_reduce(raw)
+    assert all(a != -b for a, b in zip(w.letters, w.letters[1:]))
+
+
+@st.composite
+def endo_and_word(draw):
+    rank = draw(st.integers(1, 3))
+    # images may be trivial, so cancellation can reach across a whole image
+    images = tuple(draw(reduced_words(rank, 5)) for _ in range(rank))
+    return Endomorphism(rank, images), draw(reduced_words(rank, 16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(endo_and_word())
+def test_apply_matches_letter_by_letter_reduction(fw):
+    f, w = fw
+    raw: list[int] = []
+    for x in w.letters:
+        img = f.images[abs(x) - 1].letters
+        raw.extend(img if x > 0 else tuple(-y for y in reversed(img)))
+    assert f.apply(w).letters == reference_reduce(raw)
+    assert f.apply(w) == Word(tuple(raw))

@@ -232,14 +232,6 @@ def test_norm_interval_distinct_labels_certify(identity2):
     assert norm_interval(h, identity2) == NormInterval(2, 2, True)
 
 
-def test_norm_interval_threads_match(doubling):
-    extra = RingMatrix(((elem("1"),),))
-    plain = reidemeister_interval(doubling, 1, extra_matrices=(extra,))
-    threaded = reidemeister_interval(doubling, 1, extra_matrices=(extra,), threads=2)
-    assert plain == threaded
-    assert plain == NormInterval(0, 0, True)
-
-
 def test_interval_lower_at_most_upper_random():
     rng = random.Random(113)
     for _ in range(10):
