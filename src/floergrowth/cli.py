@@ -10,7 +10,9 @@ when an internal cross-check of a result failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import re
 import sys
 import time
@@ -399,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="floergrowth", description=__doc__)
     parser.add_argument("--text", action="store_true", help="human-readable output")
     parser.add_argument(
-        "--verbose", action="store_true", help="print timing to stderr"
+        "--verbose",
+        action="store_true",
+        help="print timing and library log messages to stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -473,12 +477,32 @@ def _validate_limits(args) -> None:
         raise CLIError(f"--period must be between 1 and {MAX_ORDER}")
 
 
+@contextlib.contextmanager
+def _library_log(enabled: bool):
+    """Send the floergrowth logger tree to stderr at INFO while enabled."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("floergrowth")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _validate_limits(args)
         start = time.perf_counter()
-        payload, code = _DISPATCH[args.command](args)
+        with _library_log(args.verbose):
+            payload, code = _DISPATCH[args.command](args)
         if args.verbose:
             print(f"[{args.command}] {time.perf_counter() - start:.3f}s", file=sys.stderr)
     except CLIError as e:

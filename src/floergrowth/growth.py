@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .foxcalc import RingMatrix, chain_matrices
 from .freegroup import Endomorphism, IntMatrix
 from .groupring import matrix_norm, norm_matrix, reidemeister_interval
@@ -104,6 +102,8 @@ def _strong_components(mat: IntMatrix) -> list[list[int]]:
 
 def _block_root_modulus(block) -> float:
     """Max root modulus of an irreducible block via its characteristic polynomial."""
+    import numpy as np
+
     coeffs = det_one_minus_t(block, exact=True)
     arr = np.array([float(c) for c in coeffs])
     if len(arr) == 1:
@@ -120,6 +120,8 @@ def _block_power_iteration(block) -> float:
     strictly positive and max_i (Bv)_i / v_i and min_i bracket the Perron
     root from both sides, closing geometrically.
     """
+    import numpy as np
+
     k = len(block)
     b = np.array(block, dtype=float) + np.eye(k)
     v = np.ones(k)

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .freegroup import sparse_mat_mul, sparse_rows
 
 log = logging.getLogger(__name__)
@@ -157,6 +155,8 @@ def _det_one_minus_t_int(mat: Sequence[Sequence]):
 
 def _roots_nonzero(p):
     """Roots of a polynomial with nonzero constant term, with residuals."""
+    import numpy as np
+
     arr = np.array([complex(c) for c in p], dtype=complex)
     if len(arr) <= 1:
         return []

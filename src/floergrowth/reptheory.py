@@ -7,7 +7,7 @@ column p[r]), so products of letters cost O(dim) each, and produce exact
 rational zeta data; unitary representations carry complex float matrices
 (checked unitary to 1e-8) and produce float data.  A representation is valid
 when conjugating each generator matrix by the z matrix reproduces the matrix
-of the generator's image.
+of the generator's image.  numpy is imported only on the unitary lane.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .foxcalc import RingMatrix, chain_matrices
 from .freegroup import Endomorphism, Word, sparse_mat_mul, sparse_rows
@@ -96,6 +94,8 @@ class Representation:
             object.__setattr__(self, "gen_images", gens)
             object.__setattr__(self, "z_image", z)
         else:
+            import numpy as np
+
             gens = tuple(np.asarray(g, dtype=complex) for g in self.gen_images)
             z = np.asarray(self.z_image, dtype=complex)
             eye = np.eye(self.dim)
@@ -130,6 +130,8 @@ class Representation:
             for x in w.letters:
                 acc = _compose(acc, self.letter_matrix(x))
             return acc
+        import numpy as np
+
         acc = np.eye(self.dim, dtype=complex)
         for x in w.letters:
             acc = acc @ self.letter_matrix(x)
@@ -141,6 +143,8 @@ class Representation:
             for _ in range(k):
                 acc = _compose(acc, self.z_image)
             return acc
+        import numpy as np
+
         return np.linalg.matrix_power(self.z_image, k)
 
     # -- JSON ---------------------------------------------------------------
@@ -151,6 +155,8 @@ class Representation:
         if kind == PERMUTATION:
             decode = _matrix_to_permutation
         else:
+            import numpy as np
+
             decode = lambda m: np.array(
                 [[complex(x[0], x[1]) for x in row] for row in m], dtype=complex
             )
@@ -165,7 +171,7 @@ class Representation:
         if self.kind == PERMUTATION:
             encode = _permutation_to_matrix
         else:
-            encode = lambda m: [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+            encode = lambda m: [[[float(x.real), float(x.imag)] for x in row] for row in m]
         return {
             "dim": self.dim,
             "kind": self.kind,
@@ -270,7 +276,7 @@ def validate_rep(rep: Representation, f: Endomorphism, tol: float = UNITARY_TOL)
             residual = 0 if conj == target else 1
         else:
             conj = z_inv @ lhs_gen @ rep.z_image
-            residual = float(np.max(np.abs(conj - target)))
+            residual = float(abs(conj - target).max())
         worst = max(worst, float(residual))
     return worst <= (0 if rep.kind == PERMUTATION else tol), worst
 
@@ -294,6 +300,8 @@ def twist_matrix(m: HMatrix, rep: Representation):
                     for r in range(k):
                         out[i * k + r][j * k + cols[r]] += c
         return tuple(tuple(row) for row in out)
+    import numpy as np
+
     out = np.zeros((size * k, size * k), dtype=complex)
     zp = np.asarray(zpow)
     for i in range(size):
@@ -344,6 +352,8 @@ def twisted_lefschetz(
                 p = sparse_mat_mul(rows, p)
             tr = sum(p[i][i] for i in range(len(p)))
         else:
+            import numpy as np
+
             p = np.linalg.matrix_power(b, n)
             tr = complex(np.trace(p))
         total = total + (tr if d % 2 == 0 else -tr)

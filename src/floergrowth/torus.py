@@ -4,28 +4,29 @@ For an integer 2x2 matrix A with det(A^n - I) nonzero, the fixed points of
 the induced n-th power map on the torus are counted two independent ways:
 the Smith-diagonal product of A^n - I, and explicit enumeration of the coset
 solutions it produces.  Disagreement is a hard error.
+
+The enumeration is integer-only.  With m = A^n - I and D = |det m|, the
+fixed points are the x in [0,1)^2 with m x integral; each has the form
+x = r / D for an integer vector r in [0, D)^2.  The point over the coset
+v + m Z^2 is r = sign(det m) adj(m) v mod D, since m adj(m) = det(m) I.
+Each r is checked to solve the congruence m r = 0 mod D and to lie over its
+own coset, and the distinct r are counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .freegroup import IntMatrix, mat_identity, mat_pow, mat_sub
 from .ratfunc import CrossCheckError
 from .snf import diagonal, smith_normal_form
-from .zetafns import is_hyperbolic
+from .zetafns import _check_2x2, is_hyperbolic
 
 ENUMERATION_LIMIT = 10_000
 
 
 def _det2(m: IntMatrix) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _check_2x2(a):
-    if len(a) != 2 or any(len(row) != 2 for row in a):
-        raise ValueError("torus maps here are 2x2 integer matrices")
 
 
 def lefschetz_number(a: IntMatrix, n: int) -> int:
@@ -37,31 +38,34 @@ def lefschetz_number(a: IntMatrix, n: int) -> int:
 
 
 def _enumerate_count(m: IntMatrix, det: int) -> int:
-    """Count x in [0,1)^2 with m @ x integral, by walking the Smith cosets."""
+    """Count x in [0,1)^2 with m @ x integral, by walking the Smith cosets.
+
+    Each point is kept as its integer numerator r = |det| x.
+    """
     d, p, _ = smith_normal_form(m)
     d1, d2 = diagonal(d)
     # p is unimodular with d = p m q; cosets of the column lattice of m are
-    # p^{-1} (i, j) for 0 <= i < d1, 0 <= j < d2.  Solve m x = v exactly.
+    # p^{-1} (i, j) for 0 <= i < d1, 0 <= j < d2, and y lies in the coset of
+    # (i, j) exactly when p y = (i, j) mod (d1, d2).
     p_inv = _int_inverse_2x2(p)
-    inv_m = _frac_inverse_2x2(m)
+    modulus = abs(det)
+    sign = 1 if det > 0 else -1
+    (a, b), (c, e) = m
     seen = set()
     for i in range(d1):
         for j in range(d2):
-            v = (
-                p_inv[0][0] * i + p_inv[0][1] * j,
-                p_inv[1][0] * i + p_inv[1][1] * j,
-            )
-            x = (
-                inv_m[0][0] * v[0] + inv_m[0][1] * v[1],
-                inv_m[1][0] * v[0] + inv_m[1][1] * v[1],
-            )
-            frac = (x[0] - (x[0].numerator // x[0].denominator), x[1] - (x[1].numerator // x[1].denominator))
-            # verify the reduced point still solves the congruence
-            y0 = m[0][0] * frac[0] + m[0][1] * frac[1]
-            y1 = m[1][0] * frac[0] + m[1][1] * frac[1]
-            if y0.denominator != 1 or y1.denominator != 1:
+            v0 = p_inv[0][0] * i + p_inv[0][1] * j
+            v1 = p_inv[1][0] * i + p_inv[1][1] * j
+            # sign(det) adj(m) = |det| m^{-1}
+            r0 = sign * (e * v0 - b * v1) % modulus
+            r1 = sign * (a * v1 - c * v0) % modulus
+            y0, rem0 = divmod(a * r0 + b * r1, modulus)
+            y1, rem1 = divmod(c * r0 + e * r1, modulus)
+            if rem0 or rem1:
                 raise CrossCheckError("enumerated coset point fails the congruence")
-            seen.add(frac)
+            if (p[0][0] * y0 + p[0][1] * y1 - i) % d1 or (p[1][0] * y0 + p[1][1] * y1 - j) % d2:
+                raise CrossCheckError("enumerated coset point lies over another coset")
+            seen.add((r0, r1))
     return len(seen)
 
 
@@ -72,16 +76,6 @@ def _int_inverse_2x2(m) -> IntMatrix:
     return (
         (m[1][1] * det, -m[0][1] * det),
         (-m[1][0] * det, m[0][0] * det),
-    )
-
-
-def _frac_inverse_2x2(m):
-    det = _det2(m)
-    if det == 0:
-        raise ValueError("singular matrix")
-    return (
-        (Fraction(m[1][1], det), Fraction(-m[0][1], det)),
-        (Fraction(-m[1][0], det), Fraction(m[0][0], det)),
     )
 
 

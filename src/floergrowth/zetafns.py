@@ -46,12 +46,16 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         order = min(self.order, other.order)
+        # binomial factors (1 - t^d)^alpha are nonzero only every d-th place
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs[: order + 1]) if b]
         out = [Fraction(0)] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
             if a == 0:
                 continue
-            for j in range(0, order + 1 - i):
-                out[i + j] += a * other.coeffs[j]
+            for j, b in nonzero:
+                if i + j > order:
+                    break
+                out[i + j] += a * b
         return PowerSeries(tuple(out), order)
 
     def exp(self) -> "PowerSeries":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -97,3 +98,35 @@ def mat2_power(mat, n):
 def det2_of_power_minus_identity(mat, n) -> int:
     p = mat2_power(mat, n)
     return (p[0][0] - 1) * (p[1][1] - 1) - p[0][1] * p[1][0]
+
+
+def reference_torus_points(m) -> set:
+    """The x in [0,1)^2 with m x integral, in Fractions: the subgroup of
+    (Q/Z)^2 generated by the columns of m^{-1}, closed up one step at a time."""
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    gens = (
+        (Fraction(m[1][1], det) % 1, Fraction(-m[1][0], det) % 1),
+        (Fraction(-m[0][1], det) % 1, Fraction(m[0][0], det) % 1),
+    )
+    zero = (Fraction(0), Fraction(0))
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = ((x[0] + g[0]) % 1, (x[1] + g[1]) % 1)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def dense_series_product(a, b, order: int) -> list:
+    """Coefficients of a * b through t^order by the full convolution."""
+    a = list(a[: order + 1]) + [0] * (order + 1 - len(a))
+    b = list(b[: order + 1]) + [0] * (order + 1 - len(b))
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out

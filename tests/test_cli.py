@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -340,3 +344,67 @@ def test_verbose_times_to_stderr(capsys):
     captured = capsys.readouterr()
     assert "[growth]" in captured.err
     json.loads(captured.out)  # stdout still clean JSON
+
+
+def test_verbose_shows_library_log(capsys):
+    """cat at --modulus 3 cancels a degree-9 factor; --verbose reports it on
+    stderr and leaves stdout as it is, and the handler goes when run() returns."""
+    argv = ["zeta-twisted", "--images", "a a b, a b", "--modulus", "3"]
+    assert run(argv) == EXIT_OK
+    quiet = capsys.readouterr()
+    assert "cancelled" not in quiet.err
+    for _ in range(2):
+        assert run(["--verbose", *argv]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.count("cancelled a common factor of degree 9") == 1
+        assert captured.out == quiet.out
+    assert logging.getLogger("floergrowth").handlers == []
+
+
+# numpy serves only the float lane: root finding, the power-iteration
+# cross-check and unitary representations.  A subprocess, because pytest
+# itself imports numpy.
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+from floergrowth import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        assert cli.run(argv) == 0, argv
+        assert "numpy" not in sys.modules, argv
+    assert cli.run(["bounds", "--images", "a b, a", "--n", "3"]) == 0
+assert "numpy" in sys.modules, "bounds"
+"""
+
+
+def test_numpy_only_on_the_float_lane(tmp_path):
+    spec = tmp_path / "class.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "components": [
+                    {"kind": "fixed-a", "dim": 2},
+                    {"kind": "periodic", "lefschetz": [1, 1, 4, 5]},
+                ],
+                "genus": 2,
+            }
+        )
+    )
+    commands = [
+        ["trace", "--images", "a b, a", "--n", "3"],
+        ["fox", "--images", "a a b, a b"],
+        ["torus", "--matrix", "2,1,1,1", "--n", "4"],
+        ["series", "--dims", "1,3,4,7,11"],
+        ["periodic-zeta", "--period", "4", "--dims", "1:1,2:3,4:5", "--order", "8"],
+        ["assemble", "--class", str(spec), "--report", "--graph-test"],
+        ["growth", "--seq", "1,2,4,8"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,16 +4,20 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from floergrowth.freegroup import mat_identity, mat_pow, mat_sub
 from floergrowth.growth import growth_rate
 from floergrowth.torus import (
     ToralMap,
+    _enumerate_count,
     fixed_point_count,
     lefschetz_number,
     nielsen_sequence,
 )
 from floergrowth.zetafns import is_hyperbolic, symplectic_zeta_series, torus_symplectic_zeta
-from helpers import det2_of_power_minus_identity
+from helpers import det2_of_power_minus_identity, reference_torus_points
 
 ANOSOV = ((2, 1), (1, 1))
 FIB_MAT = ((0, 1), (1, 1))
@@ -60,6 +64,26 @@ def test_counts_match_determinant_oracle():
         assert fixed_point_count(a, n) == want
         assert abs(lefschetz_number(a, n)) == want
         checked += 1
+
+
+entries = st.integers(-5, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.tuples(entries, entries), st.tuples(entries, entries)), st.integers(1, 4))
+@example(((2, 3), (1, -2)), 1)  # det(A - I) = -6, Smith diagonal (1, 6)
+@example(((1, 2), (3, 4)), 2)  # det(A^2 - I) = -24, Smith diagonal (1, 24)
+@example(((-3, 0), (0, 5)), 1)  # det(A - I) = -16, Smith diagonal (4, 4)
+@example(((-3, 1), (-1, 0)), 3)  # det(A^3 - I) = 20, Smith diagonal (2, 10)
+def test_enumeration_matches_fraction_reference(a, n):
+    """The integer coset walk counts |det(A^n - I)| points, and so does the
+    Fraction closure of the columns of (A^n - I)^{-1}; negative determinants
+    included."""
+    m = mat_sub(mat_pow(a, n), mat_identity(2))
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    assume(0 < abs(det) <= 3000)
+    assert _enumerate_count(m, det) == abs(det)
+    assert len(reference_torus_points(m)) == abs(det)
 
 
 def test_nielsen_sequence_examples():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floergrowth.zetafns import (
     PowerSeries,
@@ -21,6 +23,7 @@ from floergrowth.zetafns import (
     torus_symplectic_zeta,
     weil_zeta_torus,
 )
+from helpers import dense_series_product
 
 ANOSOV = ((2, 1), (1, 1))  # eigenvalues (3 +- sqrt 5)/2
 FIB_MAT = ((0, 1), (1, 1))  # eigenvalues (1 +- sqrt 5)/2
@@ -37,6 +40,24 @@ def test_power_series_arithmetic():
     assert (a + b).coeffs == (2, 1, 3)
     assert (a * b).coeffs == (1, 1, 1)
     assert PowerSeries.one(3).coeffs == (1, 0, 0, 0)
+
+
+# coefficients with many zeros, as in the binomial factors (1 - t^d)^alpha
+sparse_coeffs = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+    max_size=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_coeffs, sparse_coeffs, st.integers(0, 20), st.integers(0, 20))
+def test_sparse_product_matches_dense_convolution(a, b, order_a, order_b):
+    x, y = PowerSeries(tuple(a), order_a), PowerSeries(tuple(b), order_b)
+    order = min(order_a, order_b)
+    want = tuple(dense_series_product(x.coeffs, y.coeffs, order))
+    assert (x * y).order == order
+    assert (x * y).coeffs == want
+    assert (y * x).coeffs == want
 
 
 def test_exp_log_roundtrip():
