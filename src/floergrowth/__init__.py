@@ -16,7 +16,7 @@ from .groupring import (
 from .growth import (
     GrowthReport,
     full_report,
-    growth_rate,
+    growth_estimate,
     lower_bound_zeta,
     spectral_radius,
     upper_bound_norm,
@@ -30,7 +30,7 @@ from .mappingclass import (
     graph_manifold_test,
     periodic_zeta_for_class,
 )
-from .ratfunc import CrossCheckError, RationalFunction, min_root_modulus
+from .ratfunc import CrossCheckError, RationalFunction
 from .reptheory import (
     Representation,
     abelian_quotient_rep,
@@ -39,7 +39,7 @@ from .reptheory import (
     twisted_zeta,
     validate_rep,
 )
-from .torus import ToralMap, fixed_point_count, lefschetz_number, nielsen_sequence
+from .torus import fixed_point_count, lefschetz_number, nielsen_sequence
 from .zetafns import (
     PowerSeries,
     RadicalRational,
@@ -48,7 +48,6 @@ from .zetafns import (
     periodic_zeta,
     radius_estimate,
     symplectic_zeta_series,
-    torus_dims_sequence,
     torus_symplectic_zeta,
     weil_zeta_torus,
 )
@@ -78,9 +77,8 @@ __all__ = [
     "twisted_zeta",
     "RationalFunction",
     "CrossCheckError",
-    "min_root_modulus",
     "GrowthReport",
-    "growth_rate",
+    "growth_estimate",
     "spectral_radius",
     "lower_bound_zeta",
     "upper_bound_norm",
@@ -95,8 +93,6 @@ __all__ = [
     "is_hyperbolic",
     "weil_zeta_torus",
     "torus_symplectic_zeta",
-    "torus_dims_sequence",
-    "ToralMap",
     "lefschetz_number",
     "fixed_point_count",
     "nielsen_sequence",

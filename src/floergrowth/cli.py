@@ -334,7 +334,7 @@ def _cmd_assemble(args) -> tuple[dict, int]:
     spec = ClassSpec.from_json(_load_json(args.class_file))
     payload: dict = {"components": len(spec.components)}
     limit = spec.max_iterate()
-    horizon = args.n if args.n else min(6, limit or 6)
+    horizon = args.n if args.n is not None else min(6, limit or 6)
     if limit is not None and horizon > limit:
         raise CLIError(f"class data stops at iterate {limit}; asked for {horizon}")
     payload["dims"] = [
@@ -439,7 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=0, help="also print the expansion")
 
     p = sub.add_parser("torus", help="closed-form counts and zetas on the torus")
-    p.add_argument("--matrix", required=True, help="a,b,c,d row major")
+    p.add_argument(
+        "--matrix",
+        required=True,
+        help="a,b,c,d row major; write a negative first entry as "
+        "--matrix=-2,1,1,-1 or --matrix \"-2 1 1 -1\"",
+    )
     p.add_argument("--n", type=int, default=6, help="iterates 1..N")
 
     p = sub.add_parser("assemble", help="iterate dimensions of a reducible class")
@@ -449,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n",
         dest="n",
         type=int,
-        default=0,
         help="iterates 1..N (default from data)",
     )
     p.add_argument("--report", action="store_true", help="include the growth report")
@@ -463,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_limits(args) -> None:
-    n = getattr(args, "n", 0) or 0
-    if n < 0 or n > MAX_ITERATES:
+    n = getattr(args, "n", None)
+    if n is not None and not 1 <= n <= MAX_ITERATES:
         raise CLIError(f"--n must be between 1 and {MAX_ITERATES}")
     order = getattr(args, "order", 0) or 0
     if order < 0 or order > MAX_ORDER:

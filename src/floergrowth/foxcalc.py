@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .freegroup import Endomorphism, IntMatrix, Word
 
@@ -59,13 +59,6 @@ class RingElem:
     @classmethod
     def monomial(cls, w: Word, c: int = 1) -> "RingElem":
         return cls(((w, c),))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[Word, int]) -> "RingElem":
-        return cls(d.items())
-
-    def as_dict(self) -> dict[Word, int]:
-        return dict(self._coeffs)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -169,7 +162,7 @@ class RingElem:
             while pos < len(text) and text[pos].isspace():
                 pos += 1
             first = False
-        return cls.from_dict(acc)
+        return cls(acc.items())
 
 
 _new_elem = object.__new__
@@ -251,7 +244,7 @@ def fox_derivative(w: Word, j: int, rank: int | None = None) -> RingElem:
             p = Word(tuple(prefix) + (x,))
             acc[p] = acc.get(p, 0) - 1
         prefix.append(x)
-    return RingElem.from_dict(acc)
+    return RingElem(acc.items())
 
 
 def jacobian(f: Endomorphism) -> RingMatrix:
@@ -268,17 +261,3 @@ def chain_matrices(f: Endomorphism) -> tuple[RingMatrix, RingMatrix]:
     """Chain-level matrices on the rose model: degree 0 is (1), degree 1 the
     Fox matrix."""
     return RingMatrix(((RingElem.one(),),)), jacobian(f)
-
-
-def endo_on_elem(f: Endomorphism, x: RingElem) -> RingElem:
-    """Apply the endomorphism to every word of a ring element."""
-    return x.map_words(f.apply)
-
-
-def endo_on_matrix(f: Endomorphism, m: RingMatrix) -> RingMatrix:
-    return m.map_entries(lambda e: endo_on_elem(f, e))
-
-
-def augment(x: RingElem | RingMatrix):
-    """Augmentation: coefficient sum of an element, or entrywise on a matrix."""
-    return x.augment()

@@ -153,14 +153,6 @@ def _word(letters: tuple[int, ...]) -> Word:
     return w
 
 
-def reduce_word(letters: Sequence[int], rank: int | None = None) -> Word:
-    """Freely reduce a raw letter sequence."""
-    w = Word(tuple(letters))
-    if rank is not None and w.max_index() > rank:
-        raise ValueError(f"letter outside rank {rank}")
-    return w
-
-
 @dataclass(frozen=True, slots=True)
 class Endomorphism:
     """An endomorphism of the free group, given by generator images."""
@@ -247,24 +239,6 @@ class Endomorphism:
         return {"rank": self.rank, "images": [w.to_text() for w in self.images]}
 
 
-# module-level aliases for the operation names
-
-def apply_endo(f: Endomorphism, w: Word) -> Word:
-    return f.apply(w)
-
-
-def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
-    return f.compose(g)
-
-
-def iterate(f: Endomorphism, n: int) -> Endomorphism:
-    return f.iterate(n)
-
-
-def abelianize(f: Endomorphism) -> IntMatrix:
-    return f.abelianize()
-
-
 # -- small integer-matrix helpers used across the package ------------------
 
 def mat_identity(n: int) -> IntMatrix:
@@ -291,12 +265,12 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
     return out
 
 
-def sparse_rows(a: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
-    """The nonzero (column, value) pairs of each row."""
+def sparse_rows(a: Sequence[Sequence]) -> list[list[tuple]]:
+    """The nonzero (column, value) pairs of each row, integer or complex."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in a]
 
 
-def sparse_mat_mul(rows: Sequence[Sequence[tuple[int, int]]], b) -> list[list[int]]:
+def sparse_mat_mul(rows: Sequence[Sequence[tuple]], b) -> list[list]:
     """The product A·B of a matrix A given by ``sparse_rows`` and a dense B.
 
     Row i of the product is the combination of B's rows picked out by row i of

@@ -3,7 +3,7 @@
 The mapping-torus group adds a letter z to the free group, with conjugation
 by z acting as the endomorphism.  A homogeneous element is written z^n * u
 with u in the group ring of the fiber; moving a body across z^n twists it by
-the n-th iterate, which is the whole content of ``h_multiply``.
+the n-th iterate, which is the whole content of ``h_matmul``.
 
 Norms of the Reidemeister trace are reported as certified intervals.  Terms
 are first split by an abelianized orbit invariant (different labels can never
@@ -17,9 +17,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .foxcalc import RingElem, RingMatrix, chain_matrices, endo_on_elem
+from .foxcalc import RingElem, RingMatrix, chain_matrices
 from .freegroup import (
     Endomorphism,
     IntMatrix,
@@ -74,18 +74,13 @@ class HMatrix:
         return self.body.nrows
 
 
-def h_multiply(x: HElem, y: HElem, f: Endomorphism) -> HElem:
-    """Product of homogeneous elements: degrees add, the left body is twisted
-    by the iterate matching the right degree before ring multiplication."""
-    fn = f.iterate(y.z_degree)
-    return HElem(x.z_degree + y.z_degree, endo_on_elem(fn, x.body) * y.body)
-
-
 def h_matmul(x: HMatrix, y: HMatrix, f: Endomorphism) -> HMatrix:
+    """Product of homogeneous matrices: degrees add, the left body is twisted
+    by the iterate matching the right degree before ring multiplication."""
     if x.size != y.size:
         raise ValueError("size mismatch")
     fn = f.iterate(y.z_degree)
-    twisted = x.body.map_entries(lambda e: endo_on_elem(fn, e))
+    twisted = x.body.map_entries(lambda e: e.map_words(fn.apply))
     return HMatrix(x.z_degree + y.z_degree, twisted * y.body)
 
 
@@ -100,11 +95,6 @@ def h_matrix_power(m: HMatrix, n: int, f: Endomorphism) -> HMatrix:
 
 def h_trace(m: HMatrix) -> HElem:
     return HElem(m.z_degree, m.body.trace())
-
-
-def norm(x: RingElem | HElem) -> int:
-    """Sum of absolute values of the coefficients."""
-    return x.norm()
 
 
 def norm_matrix(m: RingMatrix | HMatrix) -> IntMatrix:

@@ -31,9 +31,6 @@ class GrowthEstimate:
     window_start: int  # first iterate n included in the max
     n_terms: int
 
-    def __float__(self):
-        return self.value
-
 
 def growth_estimate(seq: Sequence[float]) -> GrowthEstimate:
     terms = [float(x) for x in seq]
@@ -45,11 +42,6 @@ def growth_estimate(seq: Sequence[float]) -> GrowthEstimate:
     start = n - math.ceil(n / 2) + 1  # 1-based iterate index
     best = max(terms[k - 1] ** (1.0 / k) for k in range(start, n + 1))
     return GrowthEstimate(max(1.0, best), start, n)
-
-
-def growth_rate(seq: Sequence[float]) -> float:
-    """max(1, max over the tail half of a_n^(1/n))."""
-    return growth_estimate(seq).value
 
 
 def _strong_components(mat: IntMatrix) -> list[list[int]]:
@@ -242,33 +234,29 @@ def full_report(
         raise CrossCheckError(
             f"bound sandwich violated: lower {lower} > spectral upper {spectral}"
         )
-    window = None
-    estimate = None
     if dims is None:
-        uppers = [
-            reidemeister_interval(f, n, search_depth=search_depth).upper
+        dims = [
+            reidemeister_interval(
+                f, n, search_depth=search_depth, extra_matrices=extra_matrices
+            ).upper
             for n in range(1, n_iterates + 1)
         ]
-        est = growth_estimate(uppers)
         provenance["sequence_estimate"] = "tail-window proxy from interval uppers"
-        estimate, window = est.value, (est.window_start, est.n_terms)
     else:
-        est = growth_estimate(dims)
         provenance["sequence_estimate"] = "tail-window proxy from supplied dims"
-        estimate, window = est.value, (est.window_start, est.n_terms)
+    est = growth_estimate(dims)
     entropy = {
         "lower_bound": math.log(lower),
         "upper_bound_spectral": math.log(spectral) if spectral > 0 else float("-inf"),
         "upper_bound_norm": math.log(total),
+        "sequence_estimate": math.log(est.value),
     }
-    if estimate is not None:
-        entropy["sequence_estimate"] = math.log(estimate)
     return GrowthReport(
         lower_bound=lower,
         upper_bound_spectral=spectral,
         upper_bound_norm=total,
-        sequence_estimate=estimate,
+        sequence_estimate=est.value,
         entropy_log=entropy,
         provenance=provenance,
-        window=window,
+        window=(est.window_start, est.n_terms),
     )

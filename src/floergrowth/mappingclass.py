@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .growth import GrowthReport, growth_estimate
 from .zetafns import RadicalRational, divisors, periodic_zeta
@@ -168,48 +167,25 @@ def assemble_dim(spec: ClassSpec, n: int) -> int:
     return sum(c.contribution(n) for c in spec.components)
 
 
-def asymptotic_invariant(
-    spec: ClassSpec,
-    n_max: int = 30,
-    dims_provider: Callable[[ComponentSpec, int], int] | None = None,
-) -> GrowthReport:
+def asymptotic_invariant(spec: ClassSpec, n_max: int = 30) -> GrowthReport:
     """Growth of the assembled dimensions, pinned by dilatations when given.
 
     When every pseudo-Anosov piece carries a dilatation, the invariant is
     their maximum (1 with no such piece) and the sequence proxy cross-checks
     it; a relative gap beyond 5% at the window is rejected as inconsistent
-    input.  ``dims_provider`` may fill in missing pseudo-Anosov sequences.
+    input.
     """
     pa = spec.pa_components()
     dilatations = [c.dilatation for c in pa]
     have_all_dil = all(d is not None for d in dilatations)
     lam = max([float(d) for d in dilatations if d is not None], default=1.0)
 
-    lengths = []
-    for c in spec.components:
-        if c.kind == PSEUDO_ANOSOV and dims_provider is not None:
-            continue  # provider fills past the stored sequence
-        m = c.max_iterate()
-        if m is not None:
-            lengths.append(m)
-    limit = min(lengths) if lengths else None
+    limit = spec.max_iterate()
     horizon = n_max if limit is None else min(n_max, limit)
     estimate = None
     window = None
     if horizon >= 3:
-        seq = []
-        for n in range(1, horizon + 1):
-            total = 0
-            for c in spec.components:
-                if c.kind == PSEUDO_ANOSOV and dims_provider is not None:
-                    try:
-                        total += c.contribution(n)
-                    except ValueError:
-                        total += int(dims_provider(c, n))
-                else:
-                    total += c.contribution(n)
-            seq.append(total)
-        est = growth_estimate(seq)
+        est = growth_estimate([assemble_dim(spec, n) for n in range(1, horizon + 1)])
         estimate, window = est.value, (est.window_start, est.n_terms)
 
     provenance = {}

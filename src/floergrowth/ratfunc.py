@@ -94,61 +94,41 @@ def poly_gcd_exact(a, b):
 
 
 def det_one_minus_t(mat: Sequence[Sequence], exact: bool):
-    """Coefficients of det(I - t*B) by the Faddeev-LeVerrier recurrence.
+    """Coefficients of det(I - t*B) by the Faddeev-LeVerrier recurrence,
+    multiplying through B's sparse rows.
 
-    The exact lane needs an integer matrix and returns integers; the float
-    lane runs in complex floats.
+    The exact lane needs an integer matrix and returns integers: for an
+    integer B every trace in the recurrence is divisible by its step number,
+    so a nonzero remainder means the arithmetic went wrong and raises
+    CrossCheckError.  The float lane runs the same recurrence in complex
+    floats.
     """
+    n = len(mat)
     if exact:
-        return _det_one_minus_t_int(mat)
-    n = len(mat)
-    if n == 0:
-        return (complex(1),)
-    b = [[complex(x) for x in row] for row in mat]
-    zero, one = complex(0), complex(1)
-
-    def mm(x, y):
-        return [
-            [sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
+        try:
+            rows = sparse_rows([[operator.index(x) for x in row] for row in mat])
+        except TypeError:
+            raise ValueError("the exact lane needs an integer matrix") from None
+        zero = 0
+    else:
+        rows = sparse_rows([[complex(x) for x in row] for row in mat])
+        zero = complex(0)
     m = [[zero] * n for _ in range(n)]
-    c = one
-    coeffs = [one]
-    for k in range(1, n + 1):
-        for i in range(n):
-            m[i][i] = m[i][i] + c
-        m = mm(b, m)
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    return _trim(coeffs)
-
-
-def _det_one_minus_t_int(mat: Sequence[Sequence]):
-    """Faddeev-LeVerrier over Python ints, multiplying through B's sparse rows.
-
-    For an integer B every trace in the recurrence is divisible by its step
-    number (the coefficients are integers), so a nonzero remainder means the
-    arithmetic went wrong and raises CrossCheckError.
-    """
-    n = len(mat)
-    try:
-        rows = sparse_rows([[operator.index(x) for x in row] for row in mat])
-    except TypeError:
-        raise ValueError("the exact lane needs an integer matrix") from None
-    m = [[0] * n for _ in range(n)]
-    c = 1
-    coeffs = [1]
+    c = zero + 1
+    coeffs = [c]
     for k in range(1, n + 1):
         for i in range(n):
             m[i][i] += c
         m = sparse_mat_mul(rows, m)
-        c, remainder = divmod(-sum(m[i][i] for i in range(n)), k)
-        if remainder:
-            raise CrossCheckError(
-                f"Faddeev-LeVerrier step {k}: trace is not divisible by {k}"
-            )
+        minus_trace = -sum(m[i][i] for i in range(n))
+        if exact:
+            c, remainder = divmod(minus_trace, k)
+            if remainder:
+                raise CrossCheckError(
+                    f"Faddeev-LeVerrier step {k}: trace is not divisible by {k}"
+                )
+        else:
+            c = minus_trace / k
         coeffs.append(c)
     return _trim(coeffs)
 
@@ -308,7 +288,3 @@ def _poly_text(p) -> str:
             sign = "-" if (not isinstance(c, complex)) and c < 0 else "+"
             pieces.append(f"{sign} {body}")
     return " ".join(pieces) if pieces else "0"
-
-
-def min_root_modulus(r: RationalFunction) -> float:
-    return r.min_root_modulus()

@@ -12,6 +12,8 @@ of the generator's image.  numpy is imported only on the unitary lane.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -180,11 +182,6 @@ class Representation:
         }
 
 
-def rho_word(rep: Representation, w: Word):
-    """Image of a group-ring basis word under the representation."""
-    return rep.word_matrix(w)
-
-
 def trivial_representation(rank: int) -> Representation:
     return Representation(1, PERMUTATION, tuple((0,) for _ in range(rank)), (0,))
 
@@ -204,12 +201,12 @@ def abelian_quotient_rep(f: Endomorphism, modulus: int) -> Representation:
     aug = [[a[i][j] % modulus for j in range(r)] + [1 if i == j else 0 for j in range(r)] for i in range(r)]
     for col in range(r):
         piv = next(
-            (i for i in range(col, r) if _modinv_exists(aug[i][col], modulus)), None
+            (i for i in range(col, r) if math.gcd(aug[i][col], modulus) == 1), None
         )
         if piv is None:
             raise ValueError(f"abelianized matrix is not invertible mod {modulus}")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _modinv(aug[col][col], modulus)
+        inv = pow(aug[col][col], -1, modulus)
         aug[col] = [(x * inv) % modulus for x in aug[col]]
         for i in range(r):
             if i != col and aug[i][col]:
@@ -217,8 +214,7 @@ def abelian_quotient_rep(f: Endomorphism, modulus: int) -> Representation:
                 aug[i] = [(x - c * y) % modulus for x, y in zip(aug[i], aug[col])]
     a_inv = [row[r:] for row in aug]
 
-    points = []
-    _enumerate_points(r, modulus, [], points)
+    points = list(itertools.product(range(modulus), repeat=r))
     index = {pt: i for i, pt in enumerate(points)}
     size = len(points)
 
@@ -240,29 +236,11 @@ def abelian_quotient_rep(f: Endomorphism, modulus: int) -> Representation:
     return Representation(size, PERMUTATION, gens, z)
 
 
-def _enumerate_points(r, m, prefix, out):
-    if len(prefix) == r:
-        out.append(tuple(prefix))
-        return
-    for x in range(m):
-        _enumerate_points(r, m, prefix + [x], out)
-
-
-def _modinv_exists(x, m):
-    from math import gcd
-
-    return gcd(x % m, m) == 1
-
-
-def _modinv(x, m):
-    return pow(x % m, -1, m)
-
-
-def validate_rep(rep: Representation, f: Endomorphism, tol: float = UNITARY_TOL):
+def validate_rep(rep: Representation, f: Endomorphism):
     """Check that z-conjugation realizes the endomorphism.
 
     Returns (ok, max_residual); permutation representations are compared
-    exactly, unitary ones within ``tol``.
+    exactly, unitary ones within ``UNITARY_TOL``.
     """
     if rep.rank != f.rank:
         raise ValueError("rank mismatch between representation and endomorphism")
@@ -278,7 +256,7 @@ def validate_rep(rep: Representation, f: Endomorphism, tol: float = UNITARY_TOL)
             conj = z_inv @ lhs_gen @ rep.z_image
             residual = float(abs(conj - target).max())
         worst = max(worst, float(residual))
-    return worst <= (0 if rep.kind == PERMUTATION else tol), worst
+    return worst <= (0 if rep.kind == PERMUTATION else UNITARY_TOL), worst
 
 
 def twist_matrix(m: HMatrix, rep: Representation):

@@ -15,8 +15,6 @@ own coset, and the distinct r are counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .freegroup import IntMatrix, mat_identity, mat_pow, mat_sub
 from .ratfunc import CrossCheckError
 from .snf import diagonal, smith_normal_form
@@ -79,10 +77,10 @@ def _int_inverse_2x2(m) -> IntMatrix:
     )
 
 
-def fixed_point_count(a: IntMatrix, n: int, enumeration_limit: int = ENUMERATION_LIMIT) -> int:
+def fixed_point_count(a: IntMatrix, n: int) -> int:
     """|det(A^n - I)| with an independent enumeration cross-check.
 
-    The enumeration runs whenever the count is within ``enumeration_limit``;
+    The enumeration runs whenever the count is within ``ENUMERATION_LIMIT``;
     a singular A^n - I (non-isolated fixed points) is rejected.
     """
     _check_2x2(a)
@@ -97,7 +95,7 @@ def fixed_point_count(a: IntMatrix, n: int, enumeration_limit: int = ENUMERATION
     by_smith = d1 * d2
     if by_smith != abs(det):
         raise CrossCheckError("Smith diagonal product disagrees with the determinant")
-    if by_smith <= enumeration_limit:
+    if by_smith <= ENUMERATION_LIMIT:
         by_enum = _enumerate_count(m, det)
         if by_enum != by_smith:
             raise CrossCheckError(
@@ -106,7 +104,7 @@ def fixed_point_count(a: IntMatrix, n: int, enumeration_limit: int = ENUMERATION
     return by_smith
 
 
-def nielsen_sequence(a: IntMatrix, n_terms: int, enumeration_limit: int = ENUMERATION_LIMIT) -> list[int]:
+def nielsen_sequence(a: IntMatrix, n_terms: int) -> list[int]:
     """Fixed point counts of the first iterates of a hyperbolic torus map.
 
     Hyperbolicity makes every count nonzero and equal to |L|, so the sequence
@@ -115,26 +113,4 @@ def nielsen_sequence(a: IntMatrix, n_terms: int, enumeration_limit: int = ENUMER
     _check_2x2(a)
     if not is_hyperbolic(a):
         raise ValueError("matrix has an eigenvalue of modulus 1 (not hyperbolic)")
-    return [fixed_point_count(a, n, enumeration_limit) for n in range(1, n_terms + 1)]
-
-
-@dataclass(frozen=True)
-class ToralMap:
-    """A linear self-map of the 2-torus, wrapped for convenience."""
-
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        _check_2x2(self.matrix)
-        object.__setattr__(
-            self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix)
-        )
-
-    def lefschetz_number(self, n: int) -> int:
-        return lefschetz_number(self.matrix, n)
-
-    def fixed_point_count(self, n: int) -> int:
-        return fixed_point_count(self.matrix, n)
-
-    def nielsen_sequence(self, n_terms: int) -> list[int]:
-        return nielsen_sequence(self.matrix, n_terms)
+    return [fixed_point_count(a, n) for n in range(1, n_terms + 1)]

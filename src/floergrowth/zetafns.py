@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .freegroup import IntMatrix, mat_identity, mat_pow, mat_sub, mat_trace
-from .growth import growth_rate
+from .freegroup import IntMatrix
+from .growth import growth_estimate
 from .ratfunc import RationalFunction
 
 
@@ -100,7 +100,7 @@ def radius_estimate(dims: Sequence[float], n_terms: int | None = None) -> float:
     terms = list(dims if n_terms is None else dims[:n_terms])
     if len(terms) < 3:
         raise ValueError("need at least 3 terms")
-    return 1.0 / growth_rate(terms)
+    return 1.0 / growth_estimate(terms).value
 
 
 def mobius(n: int) -> int:
@@ -270,12 +270,3 @@ def torus_symplectic_zeta(a: IntMatrix) -> RationalFunction:
         out = out.reciprocal()
     return out
 
-
-def torus_dims_sequence(a: IntMatrix, n_terms: int) -> list[int]:
-    """|det(I - A^n)| for n = 1..n_terms (the iterate dimension oracle)."""
-    _check_2x2(a)
-    out = []
-    for n in range(1, n_terms + 1):
-        m = mat_sub(mat_identity(2), mat_pow(a, n))
-        out.append(abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]))
-    return out

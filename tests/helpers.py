@@ -42,6 +42,13 @@ def reduced_words(draw, rank: int, max_len: int = 12) -> Word:
     return Word(reference_reduce(raw))
 
 
+@st.composite
+def endomorphisms(draw, max_rank: int, max_image_len: int) -> Endomorphism:
+    """Hypothesis strategy: an endomorphism of rank <= max_rank."""
+    rank = draw(st.integers(1, max_rank))
+    return Endomorphism(rank, tuple(draw(reduced_words(rank, max_image_len)) for _ in range(rank)))
+
+
 def random_endo(rng: random.Random, rank: int, max_image_len: int) -> Endomorphism:
     images = tuple(
         random_reduced_word(rng, rank, max_image_len) for _ in range(rank)

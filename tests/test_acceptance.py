@@ -16,15 +16,12 @@ import numpy as np
 from floergrowth.foxcalc import (
     RingElem,
     chain_matrices,
-    endo_on_elem,
     fox_derivative,
     jacobian,
 )
 from floergrowth.freegroup import (
     Endomorphism,
     Word,
-    abelianize,
-    compose,
     mat_identity,
     mat_pow,
     mat_sub,
@@ -32,7 +29,6 @@ from floergrowth.freegroup import (
 from floergrowth.groupring import matrix_norm, norm_matrix, reidemeister_interval
 from floergrowth.growth import (
     growth_estimate,
-    growth_rate,
     lower_bound_zeta,
     upper_bound_norm,
     upper_bound_spectral,
@@ -133,8 +129,8 @@ def test_criterion_01_fox_fundamental_identity():
 def test_criterion_02_chain_rule():
     failures = 0
     for f, g in endo_pairs():
-        direct = jacobian(compose(f, g))
-        pushed = jacobian(g).map_entries(lambda x: endo_on_elem(f, x))
+        direct = jacobian(f.compose(g))
+        pushed = jacobian(g).map_entries(lambda x: x.map_words(f))
         if direct != pushed * jacobian(f):
             failures += 1
     verdict(2, failures == 0, f"200 random endomorphism pairs, {failures} failures, exact")
@@ -142,7 +138,7 @@ def test_criterion_02_chain_rule():
 
 def test_criterion_03_augmentation_bridge():
     maps = [h for pair in endo_pairs() for h in pair]
-    failures = sum(1 for f in maps if jacobian(f).augment() != abelianize(f))
+    failures = sum(1 for f in maps if jacobian(f).augment() != f.abelianize())
     verdict(3, failures == 0, f"{len(maps)} maps, jacobian augment == abelianization, {failures} failures")
 
 
@@ -195,7 +191,7 @@ def test_criterion_06_torus_counts_and_growth():
     seq8 = nielsen_sequence(ANOSOV, 8)
     want8 = [abs(det2(mat_sub(mat_identity(2), mat_pow(ANOSOV, n)))) for n in range(1, 9)]
     exact_ok = seq8 == want8
-    rate = growth_rate(nielsen_sequence(ANOSOV, 30))
+    rate = growth_estimate(nielsen_sequence(ANOSOV, 30)).value
     rate_ok = abs(rate - LAM) / LAM <= 0.02
     elapsed = time.perf_counter() - start
     verdict(

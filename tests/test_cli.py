@@ -147,6 +147,22 @@ def test_bounds_golden(capsys):
     assert cert["upper_bound_norm"] == "exact"
 
 
+def test_bounds_docs_extra_matrices(capsys, tmp_path):
+    """The extra matrices of the docs map enter the sequence estimate too."""
+    section = DOCS.read_text().split("## Endomorphism JSON")[1]
+    endo = tmp_path / "endo.json"
+    endo.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    rows = payload_of(capsys, ["trace", "--map", str(endo), "--n", "6"])["rows"]
+    uppers = [row["norm_upper"] for row in rows]
+    assert uppers == [2, 0, 5, 4, 12, 15]
+
+    payload = payload_of(capsys, ["bounds", "--map", str(endo)])
+    assert payload["sequence_estimate"] == growth.growth_estimate(uppers).value
+    assert payload["window"] == [4, 6]
+    plain = payload_of(capsys, ["bounds", "--images", "a b, a"])
+    assert payload["sequence_estimate"] > plain["sequence_estimate"]
+
+
 def test_growth_command(capsys):
     payload = payload_of(capsys, ["growth", "--seq", "2,4,8,16,32,64"])
     assert payload["estimate"] == 2.0
@@ -243,14 +259,36 @@ def test_series_command(capsys):
     capsys.readouterr()
 
 
-def test_limit_validation(capsys):
-    assert run(["trace", "--images", "a", "--n", "65"]) == EXIT_INPUT
-    assert run(["zeta-twisted", "--images", "a", "--order", "129"]) == EXIT_INPUT
-    assert run(["trace", "--images", "a", "--depth", "17"]) == EXIT_INPUT
-    assert run(["periodic-zeta", "--period", "0", "--dims", "1:1"]) == EXIT_INPUT
-    for _ in range(4):
-        assert "error:" in capsys.readouterr().err or True
-    capsys.readouterr()
+def test_limit_validation(capsys, tmp_path):
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"components": [{"kind": "fixed-a", "dim": 2}]}))
+    cases = [
+        (["trace", "--images", "a", "--n", "65"], "--n must be between 1 and 64"),
+        (["zeta-twisted", "--images", "a", "--order", "129"], "--order must be between"),
+        (["trace", "--images", "a", "--depth", "17"], "--depth must be between"),
+        (["periodic-zeta", "--period", "0", "--dims", "1:1"], "--period must be between"),
+        (["trace", "--images", "a", "--n", "0"], "--n must be between 1 and 64"),
+        (["trace", "--images", "a", "--n", "-1"], "--n must be between 1 and 64"),
+        (["torus", "--matrix", "2,1,1,1", "--n", "0"], "--n must be between 1 and 64"),
+        (["bounds", "--images", "a b, a", "--n", "0"], "--n must be between 1 and 64"),
+        (["assemble", "--spec", str(spec), "--n", "0"], "--n must be between 1 and 64"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == EXIT_INPUT, argv
+        assert message in capsys.readouterr().err, argv
+    # without --n, assemble still takes its horizon from the data
+    payload = payload_of(capsys, ["assemble", "--spec", str(spec)])
+    assert [row["n"] for row in payload["dims"]] == [1, 2, 3, 4, 5, 6]
+
+
+def test_torus_negative_first_entry(capsys):
+    """A value starting with '-' reads as an option unless it is attached with
+    '=' or contains a space; both documented forms give the same payload."""
+    attached = payload_of(capsys, ["torus", "--matrix=-2,1,1,-1", "--n", "4"])
+    spaced = payload_of(capsys, ["torus", "--matrix", "-2 1 1 -1", "--n", "4"])
+    assert attached == spaced
+    assert attached["matrix"] == [[-2, 1], [1, -1]]
+    assert [row["n"] for row in attached["rows"]] == [1, 2, 3, 4]
 
 
 def test_bad_input_reporting(capsys, tmp_path):

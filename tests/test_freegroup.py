@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floergrowth.freegroup import (
-    Endomorphism,
-    Word,
-    abelianize,
-    apply_endo,
-    compose,
-    iterate,
-    mat_mul,
-    reduce_word,
-)
+from floergrowth.freegroup import Endomorphism, Word, mat_mul
 from helpers import (
     fibonacci,
     random_endo,
@@ -26,19 +17,19 @@ from helpers import (
 
 
 def test_reduce_cancels_adjacent_inverses():
-    assert reduce_word((1, -1)).letters == ()
-    assert reduce_word((1, 2, -2, 1)).letters == (1, 1)
+    assert Word((1, -1)).letters == ()
+    assert Word((1, 2, -2, 1)).letters == (1, 1)
     # cascading cancellation: a b b^-1 a^-1 -> empty
-    assert reduce_word((1, 2, -2, -1)).letters == ()
-    assert reduce_word((1, 2)).letters == (1, 2)
+    assert Word((1, 2, -2, -1)).letters == ()
+    assert Word((1, 2)).letters == (1, 2)
 
 
 def test_reduce_is_idempotent_on_random_input():
     rng = random.Random(11)
     for _ in range(300):
         raw = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 40))]
-        once = reduce_word(raw)
-        again = reduce_word(once.letters)
+        once = Word(raw)
+        again = Word(once.letters)
         assert once == again
         # no adjacent x x^-1 survives
         assert all(a != -b for a, b in zip(once.letters, once.letters[1:]))
@@ -66,11 +57,11 @@ def test_word_group_operations():
 
 def test_apply_endo_examples(identity2, golden):
     w = Word.parse("a b")
-    assert apply_endo(identity2, w) == w
+    assert identity2.apply(w) == w
     # golden: a -> ab, b -> a, so ab -> ab a
-    assert apply_endo(golden, w) == Word.parse("a b a")
+    assert golden.apply(w) == Word.parse("a b a")
     # inverse letters map to inverted images: a^-1 -> (ab)^-1 = b^-1 a^-1
-    assert apply_endo(golden, Word.parse("A")) == Word.parse("B A")
+    assert golden.apply(Word.parse("A")) == Word.parse("B A")
 
 
 def test_apply_endo_is_homomorphism():
@@ -85,10 +76,10 @@ def test_apply_endo_is_homomorphism():
 
 
 def test_compose_examples(identity2, golden, swap):
-    assert compose(identity2, golden) == golden
-    assert compose(golden, identity2) == golden
-    assert compose(swap, swap) == identity2
-    square = compose(golden, golden)
+    assert identity2.compose(golden) == golden
+    assert golden.compose(identity2) == golden
+    assert swap.compose(swap) == identity2
+    square = golden.compose(golden)
     assert square.images[0] == Word.parse("a b a")
     assert square.images[1] == Word.parse("a b")
 
@@ -100,18 +91,18 @@ def test_compose_matches_pointwise_application():
         f = random_endo(rng, rank, 4)
         g = random_endo(rng, rank, 4)
         w = random_reduced_word(rng, rank, 10)
-        assert compose(f, g)(w) == f(g(w))
+        assert f.compose(g)(w) == f(g(w))
 
 
 def test_iterate_examples(golden):
-    assert iterate(golden, 0) == Endomorphism.identity(2)
-    assert iterate(golden, 1) == golden
-    assert iterate(golden, 3) == compose(golden, compose(golden, golden))
+    assert golden.iterate(0) == Endomorphism.identity(2)
+    assert golden.iterate(1) == golden
+    assert golden.iterate(3) == golden.compose(golden.compose(golden))
     # image lengths of the first generator follow the Fibonacci numbers
     for n in range(0, 11):
-        assert len(iterate(golden, n).images[0]) == fibonacci(n + 2)
+        assert len(golden.iterate(n).images[0]) == fibonacci(n + 2)
     with pytest.raises(ValueError):
-        iterate(golden, -1)
+        golden.iterate(-1)
 
 
 def test_iterate_is_additive():
@@ -119,34 +110,35 @@ def test_iterate_is_additive():
     for _ in range(40):
         f = random_endo(rng, rng.randint(1, 3), 3)
         m, n = rng.randint(0, 3), rng.randint(0, 3)
-        assert iterate(f, m + n) == compose(iterate(f, m), iterate(f, n))
+        assert f.iterate(m + n) == f.iterate(m).compose(f.iterate(n))
 
 
 def test_abelianize_examples(identity2, doubling, golden):
-    assert abelianize(identity2) == ((1, 0), (0, 1))
-    assert abelianize(doubling) == ((2,),)
-    assert abelianize(golden) == ((1, 1), (1, 0))
+    assert identity2.abelianize() == ((1, 0), (0, 1))
+    assert doubling.abelianize() == ((2,),)
+    assert golden.abelianize() == ((1, 1), (1, 0))
     # inverses count negatively: a -> a b a^-1 b^-1 abelianizes to zero
     comm = Endomorphism.from_images_text(["a b A B", "b"])
-    assert abelianize(comm) == ((0, 0), (0, 1))
+    assert comm.abelianize() == ((0, 0), (0, 1))
 
 
 def test_abelianize_composition_order(golden, swap):
-    """Rows-are-images forces abelianize(f.g) = abelianize(g) @ abelianize(f).
+    """Rows-are-images makes the abelianization of f after g equal to
+    g.abelianize() @ f.abelianize().
 
     The swap/golden pair distinguishes the two matrix orders, so this pins
     the row-vector convention down.
     """
-    fg = compose(golden, swap)
-    assert abelianize(fg) == mat_mul(abelianize(swap), abelianize(golden))
-    assert abelianize(fg) != mat_mul(abelianize(golden), abelianize(swap))
+    fg = golden.compose(swap)
+    assert fg.abelianize() == mat_mul(swap.abelianize(), golden.abelianize())
+    assert fg.abelianize() != mat_mul(golden.abelianize(), swap.abelianize())
 
     rng = random.Random(59)
     for _ in range(60):
         rank = rng.randint(1, 3)
         f = random_endo(rng, rank, 4)
         g = random_endo(rng, rank, 4)
-        assert abelianize(compose(f, g)) == mat_mul(abelianize(g), abelianize(f))
+        assert f.compose(g).abelianize() == mat_mul(g.abelianize(), f.abelianize())
 
 
 def test_endomorphism_json_roundtrip(golden):

@@ -3,42 +3,47 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floergrowth.foxcalc import RingElem, RingMatrix, jacobian
-from floergrowth.freegroup import Endomorphism, Word, abelianize, mat_pow, mat_trace
+from floergrowth.freegroup import Endomorphism, Word, mat_pow, mat_trace
 from floergrowth.groupring import (
     HElem,
     HMatrix,
     NormInterval,
     h_matmul,
     h_matrix_power,
-    h_multiply,
     h_trace,
     matrix_norm,
-    norm,
     norm_interval,
     norm_matrix,
     orbit_coordinate,
     reidemeister_interval,
     reidemeister_trace,
 )
-from helpers import lucas, random_endo, random_reduced_word
+from helpers import endomorphisms, lucas, random_endo, random_reduced_word
 
 
 def elem(text: str) -> RingElem:
     return RingElem.parse(text)
 
 
+def h1(x: HElem) -> HMatrix:
+    """The 1x1 homogeneous matrix holding x."""
+    return HMatrix(x.z_degree, RingMatrix(((x.body,),)))
+
+
 def test_h_multiply_examples(swap, doubling):
     # degree 0,0 is the plain group-ring product
     x = HElem(0, elem("1 + a"))
     y = HElem(0, elem("a"))
-    assert h_multiply(x, y, swap) == HElem(0, elem("a + a a"))
+    assert h_matmul(h1(x), h1(y), swap) == h1(HElem(0, elem("a + a a")))
     # (z a)(z 1) twists a by one application of the map first
     za = HElem(1, elem("a"))
     z1 = HElem(1, elem("1"))
-    assert h_multiply(za, z1, swap) == HElem(2, elem("b"))
-    assert h_multiply(z1, z1, doubling) == HElem(2, elem("1"))
+    assert h_matmul(h1(za), h1(z1), swap) == h1(HElem(2, elem("b")))
+    assert h_matmul(h1(z1), h1(z1), doubling) == h1(HElem(2, elem("1")))
 
 
 def test_h_multiply_degrees_add():
@@ -48,7 +53,7 @@ def test_h_multiply_degrees_add():
         f = random_endo(rng, rank, 3)
         x = HElem(rng.randint(0, 3), RingElem.monomial(random_reduced_word(rng, rank, 5)))
         y = HElem(rng.randint(0, 3), RingElem.monomial(random_reduced_word(rng, rank, 5)))
-        assert h_multiply(x, y, f).z_degree == x.z_degree + y.z_degree
+        assert h_matmul(h1(x), h1(y), f).z_degree == x.z_degree + y.z_degree
 
 
 def test_h_matrix_power_examples(doubling):
@@ -93,10 +98,10 @@ def test_h_trace():
 
 def test_norm_examples():
     w, wp = Word.parse("a"), Word.parse("b")
-    assert norm(RingElem.zero()) == 0
-    assert norm(RingElem.monomial(w, 3) + RingElem.monomial(wp, -2)) == 5
-    assert norm(RingElem.monomial(w, 2) + RingElem.monomial(w, 3)) == 5
-    assert norm(HElem(2, elem("1 - a"))) == 2
+    assert RingElem.zero().norm() == 0
+    assert (RingElem.monomial(w, 3) + RingElem.monomial(wp, -2)).norm() == 5
+    assert (RingElem.monomial(w, 2) + RingElem.monomial(w, 3)).norm() == 5
+    assert HElem(2, elem("1 - a")).norm() == 2
 
 
 def test_norm_matrix_examples(golden):
@@ -115,18 +120,18 @@ def test_norm_inequalities():
         rank = rng.randint(1, 3)
         f = random_endo(rng, rank, 3)
         def rand_elem():
-            return RingElem.from_dict(
+            return RingElem(
                 {
                     random_reduced_word(rng, rank, 4): rng.randint(-3, 3)
                     for _ in range(rng.randint(0, 3))
-                }
+                }.items()
             )
         x = HElem(rng.randint(0, 2), rand_elem())
         y = HElem(rng.randint(0, 2), rand_elem())
-        assert norm(x.body + y.body) <= norm(x) + norm(y)
-        assert norm(h_multiply(x, y, f)) <= norm(x) * norm(y)
+        assert (x.body + y.body).norm() <= x.norm() + y.norm()
+        assert matrix_norm(h_matmul(h1(x), h1(y), f)) <= x.norm() * y.norm()
         m = HMatrix(1, jacobian(f))
-        assert norm(h_trace(m)) <= matrix_norm(m)
+        assert h_trace(m).norm() <= matrix_norm(m)
 
 
 def test_orbit_coordinate_examples(identity2, doubling, golden):
@@ -173,7 +178,7 @@ def test_trace_augmentation_is_classical_lefschetz():
         rank = rng.randint(1, 3)
         f = random_endo(rng, rank, 4)
         n = rng.randint(1, 5)
-        a_n = mat_pow(abelianize(f), n)
+        a_n = mat_pow(f.abelianize(), n)
         assert reidemeister_trace(f, n).body.augment() == 1 - mat_trace(a_n)
 
 
@@ -240,6 +245,18 @@ def test_interval_lower_at_most_upper_random():
         got = reidemeister_interval(f, n, search_depth=3, max_states=400)
         assert 0 <= got.lower <= got.upper
         assert got.certified == (got.lower == got.upper)
+
+
+@settings(max_examples=100, deadline=None)
+@given(endomorphisms(3, 3), st.integers(1, 3))
+def test_interval_never_loosens_with_depth(f, n):
+    """A deeper search may certify more merges but never undoes one: the
+    lower end does not depend on the depth and the upper end never grows."""
+    h = reidemeister_trace(f, n)
+    intervals = [norm_interval(h, f, search_depth=d, max_states=300) for d in range(5)]
+    assert len({iv.lower for iv in intervals}) == 1
+    uppers = [iv.upper for iv in intervals]
+    assert uppers == sorted(uppers, reverse=True)
 
 
 def test_helem_validation():

@@ -122,12 +122,11 @@ def test_asymptotic_no_pa_is_one():
     assert bool(graph_manifold_test(spec))
 
 
-def test_asymptotic_anosov_dims_provider():
-    pa = ComponentSpec(kind="pseudo-anosov", dims=(1,), dilatation=LAM)
+def test_asymptotic_anosov_dims():
+    dims = tuple(anosov_dims(n) for n in range(1, 31))
+    pa = ComponentSpec(kind="pseudo-anosov", dims=dims, dilatation=LAM)
     spec = ClassSpec(components=(pa,))
-    report = asymptotic_invariant(
-        spec, n_max=30, dims_provider=lambda comp, n: anosov_dims(n)
-    )
+    report = asymptotic_invariant(spec, n_max=30)
     assert report.lower_bound == report.upper_bound_spectral == LAM
     assert abs(report.sequence_estimate - LAM) / LAM < 0.02
 

@@ -36,11 +36,10 @@ def det_reference(mat):
 
 
 @st.composite
-def integer_matrices(draw):
+def integer_matrices(draw, entries=st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))):
     """Square integer matrices up to 8x8 with negative entries, some zero
     rows, and sometimes a zero lower-left block (reducible)."""
     n = draw(st.integers(1, 8))
-    entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
     mat = [[draw(entries) for _ in range(n)] for _ in range(n)]
     for i in draw(st.sets(st.integers(0, n - 1), max_size=n // 2)):
         mat[i] = [0] * n
@@ -76,6 +75,16 @@ def test_det_one_minus_t_integer_matches_fraction_reference(mat):
     got = det_one_minus_t(mat, exact=True)
     assert got == det_reference(mat)
     assert all(type(c) is int for c in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices(entries=st.integers(-3, 3)))
+def test_det_one_minus_t_float_lane_matches_fraction_reference(mat):
+    """Small integer entries keep every step of the complex recurrence exact
+    in floats, so the float lane must reproduce the integers exactly."""
+    got = det_one_minus_t(mat, exact=False)
+    assert got == tuple(complex(c) for c in det_reference(mat))
+    assert all(type(c) is complex for c in got)
 
 
 def test_det_one_minus_t_rejects_non_integer_exact_input():

@@ -5,24 +5,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floergrowth.foxcalc import RingMatrix, jacobian
-from floergrowth.freegroup import Endomorphism, Word, abelianize, mat_pow, mat_trace
-from floergrowth.groupring import HMatrix, reidemeister_interval
-from floergrowth.ratfunc import min_root_modulus
+from floergrowth.freegroup import Endomorphism, Word, mat_pow, mat_trace
+from floergrowth.groupring import HMatrix, reidemeister_interval, reidemeister_trace
 from floergrowth.reptheory import (
     Representation,
+    _compose,
     abelian_quotient_rep,
-    rho_word,
     trivial_representation,
     twist_matrix,
     twisted_lefschetz,
     twisted_zeta,
     validate_rep,
 )
-from helpers import random_endo
+from helpers import endomorphisms, random_endo
 
 
 def dense(p):
@@ -96,14 +95,14 @@ def test_representation_validation_errors():
 def test_rho_word(doubling):
     rep = abelian_quotient_rep(doubling, 3)
     ident = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-    assert dense(rho_word(rep, Word(()))) == ident
-    assert dense(rho_word(rep, Word.parse("a A"))) == ident
-    pa = dense(rho_word(rep, Word.parse("a")))
-    assert dense(rho_word(rep, Word.parse("a a"))) == tuple(
+    assert dense(rep.word_matrix(Word(()))) == ident
+    assert dense(rep.word_matrix(Word.parse("a A"))) == ident
+    pa = dense(rep.word_matrix(Word.parse("a")))
+    assert dense(rep.word_matrix(Word.parse("a a"))) == tuple(
         tuple(sum(pa[i][k] * pa[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )
     # a has order 3 in the quotient
-    assert dense(rho_word(rep, Word.parse("a^3"))) == ident
+    assert dense(rep.word_matrix(Word.parse("a^3"))) == ident
 
 
 def test_twist_matrix_examples(golden, doubling):
@@ -121,7 +120,7 @@ def test_twisted_lefschetz_trivial_is_classical(corpus):
     for f in endos:
         rep = trivial_representation(f.rank)
         for n in range(1, 7):
-            a_n = mat_pow(abelianize(f), n)
+            a_n = mat_pow(f.abelianize(), n)
             assert twisted_lefschetz(f, rep, n) == 1 - mat_trace(a_n)
 
 
@@ -149,11 +148,11 @@ def test_twisted_zeta_examples(identity2, doubling, golden):
 
 
 def test_min_root_modulus_examples(identity2, doubling, golden):
-    assert min_root_modulus(twisted_zeta(identity2, trivial_representation(2))) == pytest.approx(1.0)
-    assert min_root_modulus(twisted_zeta(golden, trivial_representation(2))) == pytest.approx(
+    assert twisted_zeta(identity2, trivial_representation(2)).min_root_modulus() == pytest.approx(1.0)
+    assert twisted_zeta(golden, trivial_representation(2)).min_root_modulus() == pytest.approx(
         0.6180339887, abs=1e-9
     )
-    assert min_root_modulus(twisted_zeta(doubling, trivial_representation(1))) == pytest.approx(0.5)
+    assert twisted_zeta(doubling, trivial_representation(1)).min_root_modulus() == pytest.approx(0.5)
 
 
 def test_unitary_scalar_rep(doubling):
@@ -168,7 +167,7 @@ def test_unitary_scalar_rep(doubling):
         assert abs(got - ((-1) ** n - (-2) ** n)) < 1e-9
     zeta = twisted_zeta(doubling, rep)
     assert not zeta.exact
-    assert min_root_modulus(zeta) == pytest.approx(0.5, abs=1e-9)
+    assert zeta.min_root_modulus() == pytest.approx(0.5, abs=1e-9)
 
 
 def test_zeta_series_matches_lefschetz(corpus):
@@ -285,3 +284,30 @@ def test_zeta_log_derivative_is_twisted_lefschetz(moves, modulus):
     rep = abelian_quotient_rep(f, modulus)
     series = twisted_zeta(f, rep).series(8)
     assert log_derivative(series) == [twisted_lefschetz(f, rep, n) for n in range(1, 9)]
+
+
+CORPUS_MAPS = [
+    Endomorphism.from_images_text(images)
+    for images in (["a b", "a"], ["a a b", "a b"], ["a b", "b c", "c a B"])
+]  # golden, cat, r3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from(CORPUS_MAPS), endomorphisms(2, 4)),
+    st.sampled_from([2, 3]),
+    st.integers(1, 4),
+)
+def test_trace_through_representation_is_twisted_lefschetz(f, modulus, n):
+    """Each term c g of the n-th Reidemeister trace stands for c z^n g; its
+    image under a permutation representation has trace #fix(rho(z^n g))."""
+    try:
+        rep = abelian_quotient_rep(f, modulus)
+    except ValueError:
+        assume(False)  # not invertible mod this modulus (r3 mod 3, for one)
+    zn = rep.z_power(n)
+    pushed = 0
+    for g, c in reidemeister_trace(f, n).body.terms:
+        p = _compose(zn, rep.word_matrix(g))
+        pushed += c * sum(1 for r, image in enumerate(p) if image == r)
+    assert pushed == twisted_lefschetz(f, rep, n)

@@ -19,10 +19,10 @@ from floergrowth.zetafns import (
     periodic_zeta,
     radius_estimate,
     symplectic_zeta_series,
-    torus_dims_sequence,
     torus_symplectic_zeta,
     weil_zeta_torus,
 )
+from floergrowth.torus import lefschetz_number
 from helpers import dense_series_product
 
 ANOSOV = ((2, 1), (1, 1))  # eigenvalues (3 +- sqrt 5)/2
@@ -89,7 +89,7 @@ def test_radius_estimate_examples():
     assert radius_estimate([1] * 10) == pytest.approx(1.0)
     assert radius_estimate([2**n for n in range(1, 11)]) == pytest.approx(0.5)
     lam = (3 + math.sqrt(5)) / 2
-    dims = torus_dims_sequence(ANOSOV, 30)
+    dims = [abs(lefschetz_number(ANOSOV, n)) for n in range(1, 31)]
     assert abs(radius_estimate(dims) - 1 / lam) / (1 / lam) < 0.02
     # n_terms truncates before estimating
     padded = [2**n for n in range(1, 11)] + [0] * 5
@@ -220,7 +220,7 @@ def test_torus_zeta_series_contract():
     """The closed form expands to exp(sum |det(I - A^n)| t^n / n) exactly."""
     order = 16
     for a in (ANOSOV, FIB_MAT, ((-2, -1), (-1, -1))):
-        dims = torus_dims_sequence(a, order)
+        dims = [abs(lefschetz_number(a, n)) for n in range(1, order + 1)]
         want = symplectic_zeta_series(dims, order).coeffs
         assert torus_symplectic_zeta(a).series(order) == want
 
@@ -247,5 +247,6 @@ def test_torus_zeta_radius_matches_spectrum():
 
 
 def test_torus_dims_sequence_examples():
-    assert torus_dims_sequence(ANOSOV, 3) == [1, 5, 16]
-    assert torus_dims_sequence(FIB_MAT, 4) == [1, 1, 4, 5]
+    """The iterate dimensions of a hyperbolic torus map are |det(I - A^n)|."""
+    assert [abs(lefschetz_number(ANOSOV, n)) for n in range(1, 4)] == [1, 5, 16]
+    assert [abs(lefschetz_number(FIB_MAT, n)) for n in range(1, 5)] == [1, 1, 4, 5]
