@@ -22,7 +22,7 @@ from pathlib import Path
 from .foxcalc import RingElem, RingMatrix, jacobian
 from .freegroup import Endomorphism
 from .groupring import norm_interval, reidemeister_trace
-from .growth import full_report, growth_estimate
+from .growth import MIN_GROWTH_TERMS, full_report, growth_estimate
 from .mappingclass import (
     ClassSpec,
     assemble_dim,
@@ -258,6 +258,10 @@ def _cmd_zeta_twisted(args) -> tuple[dict, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
+    if args.n < MIN_GROWTH_TERMS:
+        raise CLIError(
+            f"bounds needs --n of at least {MIN_GROWTH_TERMS} for its sequence estimate"
+        )
     f, extras = _load_endo(args)
     rep = _load_rep(args, f, extras) if (args.rep or args.modulus) else None
     report = full_report(

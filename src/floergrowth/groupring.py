@@ -9,7 +9,10 @@ Norms of the Reidemeister trace are reported as certified intervals.  Terms
 are first split by an abelianized orbit invariant (different labels can never
 be conjugate), then merged only when an explicit conjugacy certificate is
 found by a bounded search; the interval brackets the true norm from both
-sides and collapses whenever the two agree.
+sides and collapses whenever the two agree.  The search of a label group
+stops as soon as the merges found so far bring the group's norm down to
+|sum of its coefficients|: no further merge can lower it, so the rest of the
+search could not change the result.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def h_matrix_power(m: HMatrix, n: int, f: Endomorphism) -> HMatrix:
         raise ValueError("power must be >= 1")
     out = m
     for _ in range(n - 1):
-        out = h_matmul(out, m, f)
+        # m on the left: only the small factor m is twisted, by f^k
+        out = h_matmul(m, out, f)
     return out
 
 
@@ -184,8 +188,9 @@ def _reach_set(
     n: int,
     depth: int,
     max_states: int,
-) -> frozenset[Word]:
-    """Words certified conjugate to ``z^n g`` by bounded elementary moves.
+) -> dict[Word, int]:
+    """Words certified conjugate to ``z^n g`` by bounded elementary moves,
+    each with the number of letter moves that reached it.
 
     Moves: twisted conjugation by a single generator letter (cost 1) and the
     z-conjugation ``g -> f(g)`` (cost 0).  Every move is an actual conjugacy
@@ -220,7 +225,7 @@ def _reach_set(
                 if len(new) <= length_cap and new not in seen:
                     seen[new] = cost + 1
                     queue.append(new)
-    return frozenset(seen)
+    return seen
 
 
 class _UnionFind:
@@ -238,6 +243,14 @@ class _UnionFind:
         if ri != rj:
             self.parent[max(ri, rj)] = min(ri, rj)
 
+    def split_norm(self, coeffs: Sequence[int]) -> int:
+        """Norm of the sum once each component's coefficients are merged."""
+        sums: dict[int, int] = {}
+        for i, c in enumerate(coeffs):
+            root = self.find(i)
+            sums[root] = sums.get(root, 0) + c
+        return sum(abs(s) for s in sums.values())
+
 
 def norm_interval(
     h: HElem,
@@ -250,6 +263,13 @@ def norm_interval(
     lower merges everything the abelianized label allows; upper merges only
     pairs holding an explicit certificate.  The true class-sum norm lies in
     [lower, upper], and the interval is certified exact when they coincide.
+
+    Within a mixed-sign label group the terms are searched one at a time,
+    and a term is merged with the owner (the first term to reach it, or the
+    term it starts) of every word its search reaches.  The group stops once
+    its merged norm equals |sum of its coefficients|, the least any merge can
+    reach, so the upper end is the one the full search gives.  A group that
+    never gets there searches every term.
     """
     n = h.z_degree
     terms = list(h.body.terms)
@@ -272,17 +292,18 @@ def norm_interval(
             continue
         if fn is None:
             fn = f.iterate(n)
-        reaches = [_reach_set(w, f, fn, n, search_depth, max_states) for w, _ in grp]
+        settled = abs(sum(coeffs))
+        owner = {w: i for i, (w, _) in enumerate(grp)}
         uf = _UnionFind(len(grp))
-        for i in range(len(grp)):
-            for j in range(i + 1, len(grp)):
-                if uf.find(i) != uf.find(j) and reaches[i] & reaches[j]:
+        for i, (g, _) in enumerate(grp):
+            for w in _reach_set(g, f, fn, n, search_depth, max_states):
+                j = owner.setdefault(w, i)
+                if j != i:
                     uf.union(i, j)
-        sums: dict[int, int] = {}
-        for i, (_, c) in enumerate(grp):
-            root = uf.find(i)
-            sums[root] = sums.get(root, 0) + c
-        upper += sum(abs(s) for s in sums.values())
+            split = uf.split_norm(coeffs)
+            if split == settled:
+                break
+        upper += split
 
     return NormInterval(lower, upper, lower == upper)
 

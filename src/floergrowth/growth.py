@@ -21,6 +21,7 @@ from .ratfunc import CrossCheckError, det_one_minus_t
 from .reptheory import Representation, trivial_representation, twisted_zeta
 
 SPECTRAL_CROSSCHECK_TOL = 1e-10
+MIN_GROWTH_TERMS = 3  # the fewest terms growth_estimate accepts
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,8 @@ class GrowthEstimate:
 
 def growth_estimate(seq: Sequence[float]) -> GrowthEstimate:
     terms = [float(x) for x in seq]
-    if len(terms) < 3:
-        raise ValueError("need at least 3 terms to estimate growth")
+    if len(terms) < MIN_GROWTH_TERMS:
+        raise ValueError(f"need at least {MIN_GROWTH_TERMS} terms to estimate growth")
     if any(x < 0 for x in terms):
         raise ValueError("sequence terms must be nonnegative")
     n = len(terms)

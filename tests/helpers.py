@@ -7,7 +7,17 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from floergrowth.foxcalc import RingElem
 from floergrowth.freegroup import Endomorphism, Word
+from floergrowth.groupring import (
+    HElem,
+    HMatrix,
+    NormInterval,
+    _reach_set,
+    _UnionFind,
+    h_matmul,
+    orbit_coordinate,
+)
 
 
 def random_reduced_word(rng: random.Random, rank: int, max_len: int) -> Word:
@@ -47,6 +57,17 @@ def endomorphisms(draw, max_rank: int, max_image_len: int) -> Endomorphism:
     """Hypothesis strategy: an endomorphism of rank <= max_rank."""
     rank = draw(st.integers(1, max_rank))
     return Endomorphism(rank, tuple(draw(reduced_words(rank, max_image_len)) for _ in range(rank)))
+
+
+@st.composite
+def ring_elems(draw, rank: int, max_terms: int = 4, max_len: int = 4) -> RingElem:
+    """Hypothesis strategy: a ring element with small signed coefficients."""
+    words = draw(st.lists(reduced_words(rank, max_len), max_size=max_terms))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(words), max_size=len(words)))
+    acc: dict[Word, int] = {}
+    for w, c in zip(words, coeffs):
+        acc[w] = acc.get(w, 0) + c
+    return RingElem(acc.items())
 
 
 def random_endo(rng: random.Random, rank: int, max_image_len: int) -> Endomorphism:
@@ -136,4 +157,60 @@ def dense_series_product(a, b, order: int) -> list:
     for i in range(order + 1):
         for j in range(order + 1 - i):
             out[i + j] += a[i] * b[j]
+    return out
+
+
+def reference_norm_interval(
+    h: HElem,
+    f: Endomorphism,
+    search_depth: int,
+    max_states: int,
+) -> NormInterval:
+    """Norm interval by searching every term of a mixed-sign group and
+    merging each pair whose reach sets meet: the pairwise algorithm that the
+    early-stopping search in ``norm_interval`` must agree with."""
+    n = h.z_degree
+    terms = list(h.body.terms)
+    if not terms:
+        return NormInterval(0, 0, True)
+
+    groups: dict[tuple, list[tuple[Word, int]]] = {}
+    for w, c in terms:
+        groups.setdefault(orbit_coordinate(w, f, n), []).append((w, c))
+
+    lower = sum(abs(sum(c for _, c in grp)) for grp in groups.values())
+
+    upper = 0
+    fn: Endomorphism | None = None
+    for grp in groups.values():
+        coeffs = [c for _, c in grp]
+        if len(grp) == 1 or all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
+            # merging same-sign terms never changes the norm
+            upper += sum(abs(c) for c in coeffs)
+            continue
+        if fn is None:
+            fn = f.iterate(n)
+        reaches = [
+            frozenset(_reach_set(w, f, fn, n, search_depth, max_states)) for w, _ in grp
+        ]
+        uf = _UnionFind(len(grp))
+        for i in range(len(grp)):
+            for j in range(i + 1, len(grp)):
+                if uf.find(i) != uf.find(j) and reaches[i] & reaches[j]:
+                    uf.union(i, j)
+        sums: dict[int, int] = {}
+        for i, (_, c) in enumerate(grp):
+            root = uf.find(i)
+            sums[root] = sums.get(root, 0) + c
+        upper += sum(abs(s) for s in sums.values())
+
+    return NormInterval(lower, upper, lower == upper)
+
+
+def reference_h_matrix_power(m: HMatrix, n: int, f: Endomorphism) -> HMatrix:
+    """m^n as a right fold, m^(k+1) = m^k * m: each step twists the whole
+    accumulated power by f."""
+    out = m
+    for _ in range(n - 1):
+        out = h_matmul(out, m, f)
     return out

@@ -281,6 +281,20 @@ def test_limit_validation(capsys, tmp_path):
     assert [row["n"] for row in payload["dims"]] == [1, 2, 3, 4, 5, 6]
 
 
+def test_bounds_rejects_short_sequence_up_front(capsys, monkeypatch):
+    """bounds --n 1 or 2 leaves the sequence estimate too few terms; it
+    exits 2 naming --n before any zeta, spectral or interval work."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full_report ran")
+
+    monkeypatch.setattr(cli, "full_report", refuse)
+    for n in ("1", "2"):
+        assert run(["bounds", "--images", "a b, a", "--n", n]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--n of at least 3" in err, err
+
+
 def test_torus_negative_first_entry(capsys):
     """A value starting with '-' reads as an option unless it is attached with
     '=' or contains a space; both documented forms give the same payload."""
@@ -358,6 +372,16 @@ PINNED_DIGESTS = [
         ["bounds", "--images", "a a b, a b"],
         "6739bc45fd68a7533875365c591ba59e1bc2f96ea2a92684d33c16de4595f81d",
         id="cat-bounds",
+    ),
+    pytest.param(
+        ["trace", "--images", "a b, b c, c a B", "--n", "5", "--depth", "2"],
+        "e5b0198b78f69b9612cea6927b6c8c9c934765305c199eb2dc29d3635389c562",
+        id="r3-trace-n5-depth2",
+    ),
+    pytest.param(
+        ["bounds", "--images", "a b, b c, c a B", "--n", "4"],
+        "8a283c5336214bc9aae3f06b44f89cf5db6375b1fbb0a205565605f3dc9b1220",
+        id="r3-bounds-n4",
     ),
 ]
 

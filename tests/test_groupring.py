@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floergrowth import groupring
 from floergrowth.foxcalc import RingElem, RingMatrix, jacobian
 from floergrowth.freegroup import Endomorphism, Word, mat_pow, mat_trace
 from floergrowth.groupring import (
@@ -22,7 +23,15 @@ from floergrowth.groupring import (
     reidemeister_interval,
     reidemeister_trace,
 )
-from helpers import endomorphisms, lucas, random_endo, random_reduced_word
+from helpers import (
+    endomorphisms,
+    lucas,
+    random_endo,
+    random_reduced_word,
+    reference_h_matrix_power,
+    reference_norm_interval,
+    ring_elems,
+)
 
 
 def elem(text: str) -> RingElem:
@@ -34,7 +43,7 @@ def h1(x: HElem) -> HMatrix:
     return HMatrix(x.z_degree, RingMatrix(((x.body,),)))
 
 
-def test_h_multiply_examples(swap, doubling):
+def test_h_matmul_1x1_examples(swap, doubling):
     # degree 0,0 is the plain group-ring product
     x = HElem(0, elem("1 + a"))
     y = HElem(0, elem("a"))
@@ -46,7 +55,7 @@ def test_h_multiply_examples(swap, doubling):
     assert h_matmul(h1(z1), h1(z1), doubling) == h1(HElem(2, elem("1")))
 
 
-def test_h_multiply_degrees_add():
+def test_h_matmul_degrees_add():
     rng = random.Random(97)
     for _ in range(60):
         rank = rng.randint(1, 3)
@@ -77,6 +86,23 @@ def test_h_matrix_power_is_additive():
         assert h_matrix_power(m, a + b, f) == h_matmul(
             h_matrix_power(m, a, f), h_matrix_power(m, b, f), f
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_h_matrix_power_matches_right_fold(data):
+    """Multiplying on the left twists only the small factor; by
+    associativity the power is the same as the right fold's."""
+    f = data.draw(endomorphisms(3, 2))
+    n = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        m = HMatrix(1, jacobian(f))
+    else:
+        entries = data.draw(st.lists(ring_elems(f.rank, 3, 3), min_size=4, max_size=4))
+        m = HMatrix(
+            data.draw(st.integers(0, 2)), RingMatrix((tuple(entries[:2]), tuple(entries[2:])))
+        )
+    assert h_matrix_power(m, n, f) == reference_h_matrix_power(m, n, f)
 
 
 def test_h_trace():
@@ -257,6 +283,99 @@ def test_interval_never_loosens_with_depth(f, n):
     assert len({iv.lower for iv in intervals}) == 1
     uppers = [iv.upper for iv in intervals]
     assert uppers == sorted(uppers, reverse=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(endomorphisms(3, 3), st.integers(1, 3), st.integers(0, 4), st.integers(1, 300))
+def test_norm_interval_matches_pairwise_search(f, n, depth, max_states):
+    """Stopping a group once its norm is settled gives the interval of the
+    search that tries every pair, capped searches included."""
+    h = reidemeister_trace(f, n)
+    assert norm_interval(h, f, depth, max_states) == reference_norm_interval(
+        h, f, depth, max_states
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_norm_interval_matches_pairwise_search_mixed_signs(data):
+    f = data.draw(endomorphisms(2, 3))
+    h = HElem(data.draw(st.integers(1, 3)), data.draw(ring_elems(f.rank, 6, 5)))
+    depth = data.draw(st.integers(0, 4))
+    max_states = data.draw(st.integers(1, 300))
+    assert norm_interval(h, f, depth, max_states) == reference_norm_interval(
+        h, f, depth, max_states
+    )
+
+
+def test_norm_interval_mixed_sign_examples(doubling, golden):
+    cases = [
+        (HElem(1, elem("1 - a + a^2 - a^3")), doubling),
+        (HElem(2, elem("2 - a + a^4 - 3 a^5")), doubling),
+        (HElem(2, elem("a - a b + b a - 2 b")), golden),
+        (HElem(3, elem("a b - b a + a a b - 1")), golden),
+    ]
+    for h, f in cases:
+        for depth, max_states in ((0, 1), (1, 2), (2, 50), (8, 4000)):
+            assert norm_interval(h, f, depth, max_states) == reference_norm_interval(
+                h, f, depth, max_states
+            ), (h, depth, max_states)
+
+
+R3 = ("a b", "b c", "c a B")
+
+
+def label_groups(h: HElem, f: Endomorphism) -> list[list]:
+    groups: dict[tuple, list] = {}
+    for w, c in h.body.terms:
+        groups.setdefault(orbit_coordinate(w, f, h.z_degree), []).append((w, c))
+    return list(groups.values())
+
+
+def recorded_starts(monkeypatch) -> list[Word]:
+    """Patch the reach-set search to record the start word of every call."""
+    starts: list[Word] = []
+    search = groupring._reach_set
+
+    def recording(g, *args):
+        starts.append(g)
+        return search(g, *args)
+
+    monkeypatch.setattr(groupring, "_reach_set", recording)
+    return starts
+
+
+def test_norm_interval_stops_when_settled(monkeypatch):
+    """r3 at n = 3 has one mixed-sign group, of six terms summing to 0; the
+    first term's search already reaches the other five start words."""
+    f = Endomorphism.from_images_text(R3)
+    h = reidemeister_trace(f, 3)
+    (grp,) = [g for g in label_groups(h, f) if len({c > 0 for _, c in g}) == 2]
+    assert len(grp) == 6 and sum(c for _, c in grp) == 0
+    starts = recorded_starts(monkeypatch)
+    assert norm_interval(HElem(3, RingElem(grp)), f) == NormInterval(0, 0, True)
+    assert len(starts) == 1
+    starts.clear()
+    assert norm_interval(h, f) == NormInterval(5, 5, True)
+    assert len(starts) == 1
+
+
+def test_norm_interval_unsettled_group_searches_every_term(monkeypatch):
+    """r3 at n = 5, depth 2 stays uncertified at [47, 57]; a group the search
+    cannot settle has every one of its terms searched."""
+    f = Endomorphism.from_images_text(R3)
+    h = reidemeister_trace(f, 5)
+    starts = recorded_starts(monkeypatch)
+    assert norm_interval(h, f, search_depth=2) == NormInterval(47, 57, False)
+    searched = set(starts)
+    unsettled = [
+        grp
+        for grp in label_groups(h, f)
+        if not norm_interval(HElem(5, RingElem(grp)), f, search_depth=2).certified
+    ]
+    assert unsettled
+    for grp in unsettled:
+        assert {w for w, _ in grp} <= searched
 
 
 def test_helem_validation():

@@ -21,7 +21,7 @@ from helpers import fibonacci, random_endo
 PHI = (1 + math.sqrt(5)) / 2
 
 
-def test_growth_rate_flat_and_geometric():
+def test_growth_estimate_flat_and_geometric():
     assert growth_estimate([0, 0, 0, 0]).value == 1.0
     assert growth_estimate([1, 1, 1, 1, 1]).value == 1.0
     assert growth_estimate([3**n for n in range(1, 9)]).value == pytest.approx(3.0, abs=1e-12)
@@ -34,7 +34,7 @@ def test_growth_rate_flat_and_geometric():
         growth_estimate([1, -1, 2])
 
 
-def test_growth_rate_fibonacci_tail():
+def test_growth_estimate_fibonacci_tail():
     """The 30-term proxy sits about 2.7% below the golden ratio."""
     seq = [fibonacci(n) for n in range(1, 31)]
     proxy = growth_estimate(seq).value
@@ -46,7 +46,7 @@ def test_growth_rate_fibonacci_tail():
     assert proxy < PHI  # finite windows undershoot for this sequence
 
 
-def test_growth_rate_scale_invariance():
+def test_growth_estimate_scale_invariance():
     """Scaling shifts each window term by c^(1/n); over n = 16..30 that is
     worth up to 3^(1/16) - 1 = 7.1%, and the measured drift on Fibonacci is
     4.7% for c = 3, so 5% is the honest invariance tolerance here."""
