@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .foxcalc import RingElem, RingMatrix, jacobian
 from .freegroup import Endomorphism
-from .groupring import norm_interval, reidemeister_trace
+from .groupring import DEFAULT_SEARCH_DEPTH, norm_interval, reidemeister_trace
 from .growth import MIN_GROWTH_TERMS, full_report, growth_estimate
 from .mappingclass import (
     ClassSpec,
@@ -80,9 +80,19 @@ def _load_json(path: str):
         raise CLIError(f"{path}: invalid JSON ({e})")
 
 
+@contextlib.contextmanager
+def _built_from(path: str):
+    """Report a TypeError or AttributeError raised while building objects from
+    a file's data as bad input naming the file."""
+    try:
+        yield
+    except (TypeError, AttributeError) as e:
+        raise CLIError(f"{path}: malformed data ({e})") from None
+
+
 def _ring_matrix(rows, rank: int) -> RingMatrix:
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise CLIError("extra matrices must be rectangular and nonempty")
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise CLIError("extra matrices must be square and nonempty")
     return RingMatrix(
         tuple(tuple(RingElem.parse(cell, rank) for cell in row) for row in rows)
     )
@@ -91,8 +101,9 @@ def _ring_matrix(rows, rank: int) -> RingMatrix:
 def _load_endo(args) -> tuple[Endomorphism, tuple[RingMatrix, ...]]:
     if getattr(args, "map", None):
         data = _load_json(args.map)
-        f = Endomorphism.from_json(data)
-        extras = tuple(_ring_matrix(m, f.rank) for m in data.get("extra_matrices", []))
+        with _built_from(args.map):
+            f = Endomorphism.from_json(data)
+            extras = tuple(_ring_matrix(m, f.rank) for m in data.get("extra_matrices", []))
         return f, extras
     if getattr(args, "images", None):
         parts = [p.strip() for p in re.split(r"[,;]", args.images) if p.strip()]
@@ -103,8 +114,9 @@ def _load_endo(args) -> tuple[Endomorphism, tuple[RingMatrix, ...]]:
 def _load_rep(args, f: Endomorphism, extras) -> Representation:
     if getattr(args, "rep", None):
         data = _load_json(args.rep)
-        check_block_size(f, int(data["dim"]), extras)
-        rep = Representation.from_json(data)
+        with _built_from(args.rep):
+            check_block_size(f, int(data["dim"]), extras)
+            rep = Representation.from_json(data)
     elif getattr(args, "modulus", None):
         check_block_size(f, args.modulus ** f.rank, extras)
         rep = abelian_quotient_rep(f, args.modulus)
@@ -116,6 +128,12 @@ def _load_rep(args, f: Endomorphism, extras) -> Representation:
             f"representation does not intertwine the map (max residual {residual:.3g})"
         )
     return rep
+
+
+def _load_class(path: str) -> ClassSpec:
+    data = _load_json(path)
+    with _built_from(path):
+        return ClassSpec.from_json(data)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -297,8 +315,7 @@ def _cmd_growth(args) -> tuple[dict, int]:
 
 def _cmd_periodic_zeta(args) -> tuple[dict, int]:
     if args.class_file:
-        spec = ClassSpec.from_json(_load_json(args.class_file))
-        rr = periodic_zeta_for_class(spec, args.period)
+        rr = periodic_zeta_for_class(_load_class(args.class_file), args.period)
     elif args.dims:
         rr = periodic_zeta(args.period, _parse_dims_map(args.dims))
     else:
@@ -335,7 +352,7 @@ def _cmd_torus(args) -> tuple[dict, int]:
 
 
 def _cmd_assemble(args) -> tuple[dict, int]:
-    spec = ClassSpec.from_json(_load_json(args.class_file))
+    spec = _load_class(args.class_file)
     payload: dict = {"components": len(spec.components)}
     limit = spec.max_iterate()
     horizon = args.n if args.n is not None else min(6, limit or 6)
@@ -417,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="iterate traces with certified norm intervals")
     _add_map_options(p)
     p.add_argument("--n", type=int, default=4, help="compute iterates 1..N")
-    p.add_argument("--depth", type=int, default=8, help="conjugator search depth")
+    p.add_argument(
+        "--depth", type=int, default=DEFAULT_SEARCH_DEPTH, help="conjugator search depth"
+    )
     p.add_argument("--no-interval", action="store_true", help="traces only")
     p.add_argument("--strict", action="store_true", help="exit 3 unless certified")
 
@@ -431,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_options(p)
     _add_rep_options(p)
     p.add_argument("--n", type=int, default=6, help="iterates for the sequence proxy")
-    p.add_argument("--depth", type=int, default=8, help="conjugator search depth")
+    p.add_argument(
+        "--depth", type=int, default=DEFAULT_SEARCH_DEPTH, help="conjugator search depth"
+    )
 
     p = sub.add_parser("growth", help="tail-window growth proxy of a sequence")
     p.add_argument("--seq", required=True, help="comma-separated values")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .freegroup import Endomorphism, IntMatrix, Word
 
@@ -257,7 +257,10 @@ def jacobian(f: Endomorphism) -> RingMatrix:
     )
 
 
-def chain_matrices(f: Endomorphism) -> tuple[RingMatrix, RingMatrix]:
-    """Chain-level matrices on the rose model: degree 0 is (1), degree 1 the
-    Fox matrix."""
-    return RingMatrix(((RingElem.one(),),)), jacobian(f)
+def chain_matrices(
+    f: Endomorphism, extra_matrices: Sequence[RingMatrix] = ()
+) -> tuple[RingMatrix, ...]:
+    """The whole chain (C0, C1, *extra_matrices): on the rose model degree 0
+    is (1) and degree 1 the Fox matrix; user-supplied matrices for degrees
+    2, 3, ... follow verbatim."""
+    return (RingMatrix(((RingElem.one(),),)), jacobian(f), *extra_matrices)

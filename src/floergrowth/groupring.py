@@ -163,9 +163,8 @@ def reidemeister_trace(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f0, f1 = chain_matrices(f)
     acc = RingElem.zero()
-    for d, mat in enumerate([f0, f1, *extra_matrices]):
+    for d, mat in enumerate(chain_matrices(f, extra_matrices)):
         power = h_matrix_power(HMatrix(1, mat), n, f)
         term = h_trace(power).body
         acc = acc + (term if d % 2 == 0 else -term)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .foxcalc import RingMatrix, chain_matrices
 from .freegroup import Endomorphism, IntMatrix
-from .groupring import matrix_norm, norm_matrix, reidemeister_interval
+from .groupring import DEFAULT_SEARCH_DEPTH, matrix_norm, norm_matrix, reidemeister_interval
 from .ratfunc import CrossCheckError, det_one_minus_t
 from .reptheory import Representation, trivial_representation, twisted_zeta
 
@@ -46,50 +46,22 @@ def growth_estimate(seq: Sequence[float]) -> GrowthEstimate:
 
 
 def _strong_components(mat: IntMatrix) -> list[list[int]]:
-    """Strongly connected components of the support digraph (iterative Tarjan)."""
+    """Strongly connected components of the support digraph: i and j share
+    one when each reaches the other.  Reachability is Warshall's closure on
+    Python-int bitsets, O(n^2) bit operations for n vertices."""
     n = len(mat)
-    succ = [[j for j in range(n) if mat[i][j] != 0] for i in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
+    reach = [sum(1 << j for j in range(n) if mat[i][j]) | 1 << i for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
     out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+    placed = 0
+    for i in range(n):
+        if not placed >> i & 1:
+            comp = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+            placed |= sum(1 << j for j in comp)
+            out.append(comp)
     return out
 
 
@@ -103,7 +75,7 @@ def _block_root_modulus(block) -> float:
         return 0.0
     roots = np.roots(arr[::-1])
     nz = [abs(1.0 / w) for w in roots if abs(w) > 0]
-    return max(nz) if nz else 0.0
+    return float(max(nz)) if nz else 0.0
 
 
 def _block_power_iteration(block) -> float:
@@ -163,14 +135,12 @@ def spectral_radius(mat: IntMatrix) -> float:
 
 def upper_bound_norm(f: Endomorphism, extra_matrices: Sequence[RingMatrix] = ()) -> float:
     """max over chain degrees of the total group-ring norm."""
-    f0, f1 = chain_matrices(f)
-    return float(max(matrix_norm(m) for m in (f0, f1, *extra_matrices)))
+    return float(max(matrix_norm(m) for m in chain_matrices(f, extra_matrices)))
 
 
 def upper_bound_spectral(f: Endomorphism, extra_matrices: Sequence[RingMatrix] = ()) -> float:
     """max over chain degrees of the spectral radius of the norm matrix."""
-    f0, f1 = chain_matrices(f)
-    return max(spectral_radius(norm_matrix(m)) for m in (f0, f1, *extra_matrices))
+    return max(spectral_radius(norm_matrix(m)) for m in chain_matrices(f, extra_matrices))
 
 
 def lower_bound_zeta(
@@ -217,7 +187,7 @@ def full_report(
     dims: Sequence[float] | None = None,
     extra_matrices: Sequence[RingMatrix] = (),
     n_iterates: int = 6,
-    search_depth: int = 8,
+    search_depth: int = DEFAULT_SEARCH_DEPTH,
 ) -> GrowthReport:
     """Assemble all bounds; the measured sequence defaults to the certified
     interval uppers of the first few iterates when none is supplied."""

@@ -14,6 +14,7 @@ Euler-characteristic shortcuts for computing them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .growth import GrowthReport, growth_estimate
@@ -40,6 +41,13 @@ def _per_iterate(value, n: int, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ComponentSpec:
     """One piece of the standard form; which fields apply depends on kind.
@@ -63,6 +71,13 @@ class ComponentSpec:
         object.__setattr__(self, "kind", kind)
         if kind not in _KINDS:
             raise ValueError(f"unknown component kind {self.kind!r}")
+        for key in ("dim", "count", "prongs"):
+            v = getattr(self, key)
+            if isinstance(v, (list, tuple)) and key != "prongs":
+                v = tuple(_integer(x, f"{kind} {key} entry") for x in v)
+            elif v is not None:
+                v = _integer(v, f"{kind} {key}")
+            object.__setattr__(self, key, v)
         if kind in (FIXED_A, FIXED_B, FIXED_C) and self.dim is None:
             raise ValueError(f"{kind} component needs a dim")
         if kind == FIXED_B and (self.prongs is None or self.prongs < 1):
@@ -86,18 +101,18 @@ class ComponentSpec:
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.kind == FIXED_A:
-            return int(_per_iterate(self.dim, n, "fixed-a dim"))
+            return _per_iterate(self.dim, n, "fixed-a dim")
         if self.kind == FIXED_B:
-            d = int(_per_iterate(self.dim, n, "fixed-b dim"))
-            c = int(_per_iterate(self.count, n, "fixed-b count"))
+            d = _per_iterate(self.dim, n, "fixed-b dim")
+            c = _per_iterate(self.count, n, "fixed-b count")
             return d + (self.prongs - 1) * c
         if self.kind == FIXED_C:
-            d = int(_per_iterate(self.dim, n, "fixed-c dim"))
-            c = int(_per_iterate(self.count, n, "fixed-c count"))
+            d = _per_iterate(self.dim, n, "fixed-c dim")
+            c = _per_iterate(self.count, n, "fixed-c count")
             return d + self.prongs * c
         if self.kind == PERIODIC:
-            return int(_per_iterate(self.lefschetz, n, "periodic lefschetz"))
-        return int(_per_iterate(self.dims, n, "pseudo-anosov dims"))
+            return _per_iterate(self.lefschetz, n, "periodic lefschetz")
+        return _per_iterate(self.dims, n, "pseudo-anosov dims")
 
     def max_iterate(self) -> int | None:
         """Largest n with data, or None when constant in n."""

@@ -13,14 +13,12 @@ of the generator's image.  numpy is imported only on the unitary lane.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from .foxcalc import RingMatrix, chain_matrices
 from .freegroup import Endomorphism, Word, sparse_mat_mul, sparse_rows
-from .groupring import HMatrix
 from .ratfunc import RationalFunction, det_one_minus_t, poly_mul
 
 UNITARY_TOL = 1e-8
@@ -187,53 +185,29 @@ def trivial_representation(rank: int) -> Representation:
 
 
 def abelian_quotient_rep(f: Endomorphism, modulus: int) -> Representation:
-    """Permutation representation on (Z/m)^rank by translations, with z acting
-    by the inverse of the abelianized endomorphism mod m.
+    """Permutation representation on the points of (Z/m)^rank.
 
-    Requires the abelianized matrix to be invertible mod m; this is a direct
-    construction, not a search.
+    Generator k's row for point p has its 1 at p - e_k, and z's row for p has
+    its 1 at p·A mod m, where A is the abelianized endomorphism.  That z is a
+    permutation exactly when A is invertible mod m; otherwise ValueError.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     r = f.rank
     a = f.abelianize()
-    # invert a mod modulus by Gaussian elimination
-    aug = [[a[i][j] % modulus for j in range(r)] + [1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next(
-            (i for i in range(col, r) if math.gcd(aug[i][col], modulus) == 1), None
-        )
-        if piv is None:
-            raise ValueError(f"abelianized matrix is not invertible mod {modulus}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, modulus)
-        aug[col] = [(x * inv) % modulus for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(x - c * y) % modulus for x, y in zip(aug[i], aug[col])]
-    a_inv = [row[r:] for row in aug]
-
     points = list(itertools.product(range(modulus), repeat=r))
     index = {pt: i for i, pt in enumerate(points)}
-    size = len(points)
-
-    def perm_from_map(fn):
-        # column i of the matrix has its 1 in row index[fn(point i)]
-        return _inverse([index[fn(pt)] for pt in points])
-
     gens = tuple(
-        perm_from_map(
-            lambda pt, k=k: tuple((x + (1 if j == k else 0)) % modulus for j, x in enumerate(pt))
-        )
+        tuple(index[pt[:k] + ((pt[k] - 1) % modulus,) + pt[k + 1 :]] for pt in points)
         for k in range(r)
     )
-    z = perm_from_map(
-        lambda pt: tuple(
-            sum(pt[i] * a_inv[i][j] for i in range(r)) % modulus for j in range(r)
-        )
+    z = tuple(
+        index[tuple(sum(pt[i] * a[i][j] for i in range(r)) % modulus for j in range(r))]
+        for pt in points
     )
-    return Representation(size, PERMUTATION, gens, z)
+    if len(set(z)) != len(z):
+        raise ValueError(f"abelianized matrix is not invertible mod {modulus}")
+    return Representation(len(points), PERMUTATION, gens, z)
 
 
 def validate_rep(rep: Representation, f: Endomorphism):
@@ -259,42 +233,41 @@ def validate_rep(rep: Representation, f: Endomorphism):
     return worst <= (0 if rep.kind == PERMUTATION else UNITARY_TOL), worst
 
 
-def twist_matrix(m: HMatrix, rep: Representation):
-    """Block matrix of the homogeneous matrix under the representation.
+def twist_matrix(mat: RingMatrix, rep: Representation):
+    """Block matrix of a chain matrix twisted at z-degree 1.
 
-    Block (i, j) is z_image^degree times the representation of the (i, j)
-    body entry; sizes multiply, exactness follows the representation kind.
+    Block (i, j) is z_image times the representation of entry (i, j); sizes
+    multiply, exactness follows the representation kind.
     """
-    k = rep.dim
-    size = m.size
-    zpow = rep.z_power(m.z_degree)
+    if mat.nrows != mat.ncols:
+        raise ValueError("twist_matrix needs a square matrix")
+    k, size, z = rep.dim, mat.nrows, rep.z_image
     if rep.kind == PERMUTATION:
         out = [[0] * (size * k) for _ in range(size * k)]
         for i in range(size):
             for j in range(size):
-                for w, c in m.body.entries[i][j].terms:
-                    # row r of zpow times the word's matrix is the word's row zpow[r]
-                    cols = _compose(zpow, rep.word_matrix(w))
+                for w, c in mat.entries[i][j].terms:
+                    # row r of z times the word's matrix is the word's row z[r]
+                    cols = _compose(z, rep.word_matrix(w))
                     for r in range(k):
                         out[i * k + r][j * k + cols[r]] += c
         return tuple(tuple(row) for row in out)
     import numpy as np
 
     out = np.zeros((size * k, size * k), dtype=complex)
-    zp = np.asarray(zpow)
     for i in range(size):
         for j in range(size):
             acc = np.zeros((k, k), dtype=complex)
             # canonical order, so equal entries give the same float sum
-            for w, c in m.body.entries[i][j].sorted_terms():
+            for w, c in mat.entries[i][j].sorted_terms():
                 acc += c * rep.word_matrix(w)
-            out[i * k : (i + 1) * k, j * k : (j + 1) * k] = zp @ acc
+            out[i * k : (i + 1) * k, j * k : (j + 1) * k] = z @ acc
     return out
 
 
 def check_block_size(f: Endomorphism, dim: int, extra_matrices: Sequence[RingMatrix] = ()):
     """Raise ValueError when a twisted chain block would exceed MAX_TWISTED_BLOCK."""
-    chain = max(1, f.rank, *(m.nrows for m in extra_matrices))
+    chain = max(m.nrows for m in chain_matrices(f, extra_matrices))
     if chain * dim > MAX_TWISTED_BLOCK:
         raise ValueError(
             f"twisted block size {chain * dim} (chain size {chain} x representation "
@@ -304,8 +277,7 @@ def check_block_size(f: Endomorphism, dim: int, extra_matrices: Sequence[RingMat
 
 def _degree_blocks(f: Endomorphism, rep: Representation, extra_matrices: Sequence[RingMatrix]):
     check_block_size(f, rep.dim, extra_matrices)
-    f0, f1 = chain_matrices(f)
-    return [twist_matrix(HMatrix(1, mat), rep) for mat in (f0, f1, *extra_matrices)]
+    return [twist_matrix(mat, rep) for mat in chain_matrices(f, extra_matrices)]
 
 
 def twisted_lefschetz(

@@ -95,12 +95,9 @@ def symplectic_zeta_series(dims: Sequence[int], order: int) -> PowerSeries:
     return PowerSeries(tuple(body), order).exp()
 
 
-def radius_estimate(dims: Sequence[float], n_terms: int | None = None) -> float:
+def radius_estimate(dims: Sequence[float]) -> float:
     """Reciprocal of the finite-sample growth proxy of the dims sequence."""
-    terms = list(dims if n_terms is None else dims[:n_terms])
-    if len(terms) < 3:
-        raise ValueError("need at least 3 terms")
-    return 1.0 / growth_estimate(terms).value
+    return 1.0 / growth_estimate(dims).value
 
 
 def mobius(n: int) -> int:

@@ -214,3 +214,32 @@ def reference_h_matrix_power(m: HMatrix, n: int, f: Endomorphism) -> HMatrix:
     for _ in range(n - 1):
         out = h_matmul(out, m, f)
     return out
+
+
+def reference_det(a) -> int:
+    """Determinant of a small square integer matrix by cofactor expansion."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * reference_det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
+def reference_strong_components(mat) -> set[frozenset[int]]:
+    """Strong components by brute force: each vertex's reach set by search,
+    then i and j share a component when each reaches the other."""
+    n = len(mat)
+
+    def reach(i: int) -> set[int]:
+        seen, stack = {i}, [i]
+        while stack:
+            v = stack.pop()
+            for w in range(n):
+                if mat[v][w] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    reaches = [reach(i) for i in range(n)]
+    return {frozenset(j for j in reaches[i] if i in reaches[j]) for i in range(n)}

@@ -333,6 +333,61 @@ def test_bad_input_reporting(capsys, tmp_path):
         assert run([*argv, "--endo", str(outside)]) == EXIT_INPUT
         assert "exceeds rank 2" in capsys.readouterr().err
 
+    # an extra matrix is a chain map, so it must be square
+    oblong = tmp_path / "oblong.json"
+    oblong.write_text(json.dumps({"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1", "a"]]]}))
+    for argv in (["fox"], ["trace", "--n", "2"], ["zeta-twisted", "--modulus", "2"]):
+        assert run([*argv, "--endo", str(oblong)]) == EXIT_INPUT
+        assert "extra matrices must be square" in capsys.readouterr().err
+
+
+def _pa(**fields):
+    return {"components": [{"kind": "pseudo-anosov", "dims": [1, 2, 3], **fields}]}
+
+
+_CLASS_COMMANDS = (["assemble", "--class"], ["periodic-zeta", "--period", "2", "--class"])
+_ZETA_REP = ["zeta-twisted", "--images", "a b, a", "--rep"]
+_UNITARY_1 = [[[1.0, 0.0]]]
+MALFORMED_FILES = [
+    pytest.param(cmd, data, id=f"{cmd[0]}-{name}")
+    for name, data in [
+        ("components-number", {"components": 5}),
+        ("top-level-list", [1, 2]),
+        ("component-string", {"components": ["fixed-a"]}),
+        ("dims-null", _pa(dims=[1, None, 2])),
+        ("dim-list-null", {"components": [{"kind": "fixed-a", "dim": [1, None, 2]}]}),
+        ("dim-dict", {"components": [{"kind": "fixed-a", "dim": {"a": 1}}]}),
+        ("prongs-string", {"components": [{"kind": "fixed-b", "dim": 1, "prongs": "3"}]}),
+        ("prongs-fraction", {"components": [{"kind": "fixed-b", "dim": 1, "prongs": 2.5}]}),
+        ("count-list-string", {"components": [{"kind": "fixed-c", "dim": 1, "prongs": 2, "count": ["1"]}]}),
+    ]
+    for cmd in _CLASS_COMMANDS
+] + [
+    pytest.param(_ZETA_REP, {"dim": 1, "kind": "permutation", "a": 5, "z": [[1]]}, id="rep-a-number"),
+    pytest.param(
+        _ZETA_REP,
+        {"dim": 1, "kind": "unitary", "a": [_UNITARY_1, [[1.0]]], "z": _UNITARY_1},
+        id="rep-unitary-bare-float",
+    ),
+    pytest.param(["trace", "--n", "2", "--map"], {"rank": 2, "images": [1, 2]}, id="map-images-numbers"),
+    pytest.param(["fox", "--map"], [1, 2], id="map-top-level-list"),
+    pytest.param(
+        ["zeta-twisted", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[[1]]]},
+        id="map-extra-cell-number",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,data", MALFORMED_FILES)
+def test_malformed_input_files_exit_2(capsys, tmp_path, command, data):
+    """JSON that parses but has the wrong shape is bad input naming the file."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run([*command, str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err, err
+
 
 def test_output_is_deterministic(capsys):
     first = payload_and_raw(capsys, ["trace", "--images", "a b, a", "--n", "3"])

@@ -159,7 +159,7 @@ def test_ring_matrix_operations(golden):
         RingMatrix(((elem("1"),), (elem("1"), elem("a"))))
 
 
-def test_endo_on_elem(golden):
+def test_map_words_examples(golden):
     x = elem("1 + a - b A")
     image = x.map_words(golden)
     assert image == elem("1 + a b") + elem("- a B A")

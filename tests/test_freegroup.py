@@ -55,7 +55,7 @@ def test_word_group_operations():
     assert Word((1, 2, -1)).exponent_vector(2) == (0, 1)
 
 
-def test_apply_endo_examples(identity2, golden):
+def test_apply_examples(identity2, golden):
     w = Word.parse("a b")
     assert identity2.apply(w) == w
     # golden: a -> ab, b -> a, so ab -> ab a
@@ -64,7 +64,7 @@ def test_apply_endo_examples(identity2, golden):
     assert golden.apply(Word.parse("A")) == Word.parse("B A")
 
 
-def test_apply_endo_is_homomorphism():
+def test_apply_is_homomorphism():
     rng = random.Random(23)
     for _ in range(200):
         rank = rng.randint(1, 4)

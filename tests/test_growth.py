@@ -6,8 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from floergrowth.foxcalc import chain_matrices
+from floergrowth.freegroup import Endomorphism
 from floergrowth.growth import (
     GrowthReport,
+    _strong_components,
     full_report,
     growth_estimate,
     lower_bound_zeta,
@@ -15,8 +18,8 @@ from floergrowth.growth import (
     upper_bound_norm,
     upper_bound_spectral,
 )
-from floergrowth.groupring import reidemeister_interval
-from helpers import fibonacci, random_endo
+from floergrowth.groupring import norm_matrix, reidemeister_interval
+from helpers import fibonacci, random_endo, reference_strong_components
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -166,3 +169,22 @@ def test_growth_report_is_frozen(golden):
     assert isinstance(report, GrowthReport)
     with pytest.raises(AttributeError):
         report.lower_bound = 2.0
+
+
+def test_strong_components_are_mutual_reachability_classes():
+    rng = random.Random(41)
+    for _ in range(400):
+        n = rng.randint(0, 10)
+        mat = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+        comps = _strong_components(mat)
+        assert sorted(v for comp in comps for v in comp) == list(range(n))
+        assert {frozenset(comp) for comp in comps} == reference_strong_components(mat)
+
+
+def test_spectral_radius_is_a_python_float(golden):
+    cat = Endomorphism.from_images_text(["a a b", "a b"])
+    r3 = Endomorphism.from_images_text(["a b", "b c", "c a B"])
+    for f in (golden, cat, r3):
+        for m in chain_matrices(f):
+            assert type(spectral_radius(norm_matrix(m))) is float
+    assert type(full_report(golden).upper_bound_spectral) is float

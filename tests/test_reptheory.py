@@ -1,5 +1,7 @@
 """Finite-dimensional twists: representations, traces, and zeta functions."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floergrowth.foxcalc import RingMatrix, jacobian
+from floergrowth.foxcalc import RingElem, RingMatrix, jacobian
 from floergrowth.freegroup import Endomorphism, Word, mat_pow, mat_trace
-from floergrowth.groupring import HMatrix, reidemeister_interval, reidemeister_trace
+from floergrowth.groupring import reidemeister_interval, reidemeister_trace
 from floergrowth.reptheory import (
     Representation,
     _compose,
@@ -21,7 +23,7 @@ from floergrowth.reptheory import (
     twisted_zeta,
     validate_rep,
 )
-from helpers import endomorphisms, random_endo
+from helpers import endomorphisms, random_endo, reference_det
 
 
 def dense(p):
@@ -92,7 +94,7 @@ def test_representation_validation_errors():
         Representation.from_json({"dim": 2, "kind": "permutation", "a": [[[1, 0], [1, 0]]], "z": [[1, 0], [0, 1]]})
 
 
-def test_rho_word(doubling):
+def test_word_matrix_examples(doubling):
     rep = abelian_quotient_rep(doubling, 3)
     ident = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
     assert dense(rep.word_matrix(Word(()))) == ident
@@ -105,13 +107,41 @@ def test_rho_word(doubling):
     assert dense(rep.word_matrix(Word.parse("a^3"))) == ident
 
 
+@settings(max_examples=120, deadline=None)
+@given(endomorphisms(3, 3), st.integers(2, 5))
+def test_abelian_quotient_rep_is_translations_and_abelianization(f, m):
+    """Defined exactly when A is invertible mod m; then a_k translates by
+    -e_k and z sends p to p·A, both as index tuples over (Z/m)^rank."""
+    a = f.abelianize()
+    if math.gcd(reference_det(a), m) != 1:
+        with pytest.raises(ValueError, match=f"not invertible mod {m}"):
+            abelian_quotient_rep(f, m)
+        return
+    rep = abelian_quotient_rep(f, m)
+    r = f.rank
+    points = list(itertools.product(range(m), repeat=r))
+    index = {p: i for i, p in enumerate(points)}
+    for k in range(r):
+        minus_ek = tuple(
+            index[tuple((x - (j == k)) % m for j, x in enumerate(p))] for p in points
+        )
+        assert rep.gen_images[k] == minus_ek
+    times_a = tuple(
+        index[tuple(sum(p[i] * a[i][j] for i in range(r)) % m for j in range(r))]
+        for p in points
+    )
+    assert rep.z_image == times_a
+    assert validate_rep(rep, f) == (True, 0)
+
+
 def test_twist_matrix_examples(golden, doubling):
     rep3 = abelian_quotient_rep(doubling, 3)
-    unit = HMatrix(1, RingMatrix.identity(1))
-    assert twist_matrix(unit, rep3) == dense(rep3.z_image)
+    assert twist_matrix(RingMatrix.identity(1), rep3) == dense(rep3.z_image)
     # the trivial representation reduces the twist to plain augmentation
-    blocks = twist_matrix(HMatrix(1, jacobian(golden)), trivial_representation(2))
+    blocks = twist_matrix(jacobian(golden), trivial_representation(2))
     assert blocks == ((1, 1), (1, 0))
+    with pytest.raises(ValueError, match="square"):
+        twist_matrix(RingMatrix(((RingElem.one(), RingElem.one()),)), rep3)
 
 
 def test_twisted_lefschetz_trivial_is_classical(corpus):
