@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import logging
+import operator
 import re
 import sys
 import time
@@ -91,6 +92,8 @@ def _built_from(path: str):
 
 
 def _ring_matrix(rows, rank: int) -> RingMatrix:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise TypeError(f"an extra matrix must be a list of rows, got {rows!r}")
     if not rows or any(len(r) != len(rows) for r in rows):
         raise CLIError("extra matrices must be square and nonempty")
     return RingMatrix(
@@ -115,7 +118,7 @@ def _load_rep(args, f: Endomorphism, extras) -> Representation:
     if getattr(args, "rep", None):
         data = _load_json(args.rep)
         with _built_from(args.rep):
-            check_block_size(f, int(data["dim"]), extras)
+            check_block_size(f, operator.index(data["dim"]), extras)
             rep = Representation.from_json(data)
     elif getattr(args, "modulus", None):
         check_block_size(f, args.modulus ** f.rank, extras)

@@ -48,6 +48,10 @@ def _integer(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    return tuple(_integer(x, what) for x in values)
+
+
 @dataclass(frozen=True)
 class ComponentSpec:
     """One piece of the standard form; which fields apply depends on kind.
@@ -74,7 +78,7 @@ class ComponentSpec:
         for key in ("dim", "count", "prongs"):
             v = getattr(self, key)
             if isinstance(v, (list, tuple)) and key != "prongs":
-                v = tuple(_integer(x, f"{kind} {key} entry") for x in v)
+                v = _integers(v, f"{kind} {key} entry")
             elif v is not None:
                 v = _integer(v, f"{kind} {key}")
             object.__setattr__(self, key, v)
@@ -87,13 +91,14 @@ class ComponentSpec:
         if kind == PERIODIC:
             if not self.lefschetz:
                 raise ValueError("periodic component needs its lefschetz numbers")
-            object.__setattr__(self, "lefschetz", tuple(int(x) for x in self.lefschetz))
+            lefschetz = _integers(self.lefschetz, "periodic lefschetz entry")
+            object.__setattr__(self, "lefschetz", lefschetz)
         if kind == PSEUDO_ANOSOV:
             if not self.dims:
                 raise ValueError(
                     "pseudo-anosov component needs an iterate-dimension sequence"
                 )
-            object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
+            object.__setattr__(self, "dims", _integers(self.dims, "pseudo-anosov dims entry"))
             if any(x < 0 for x in self.dims):
                 raise ValueError("iterate dimensions must be nonnegative")
 

@@ -59,7 +59,7 @@ def _matrix_to_permutation(m) -> tuple[int, ...]:
     error = "permutation representation needs 0/1 permutation matrices"
     out = []
     for row in m:
-        ints = [int(x) for x in row]
+        ints = [operator.index(x) for x in row]
         if len(ints) != len(m) or any(x not in (0, 1) for x in ints) or sum(ints) != 1:
             raise ValueError(error)
         out.append(ints.index(1))
@@ -161,7 +161,7 @@ class Representation:
                 [[complex(x[0], x[1]) for x in row] for row in m], dtype=complex
             )
         return cls(
-            dim=int(data["dim"]),
+            dim=operator.index(data["dim"]),
             kind=kind,
             gen_images=tuple(decode(m) for m in data["a"]),
             z_image=decode(data["z"]),

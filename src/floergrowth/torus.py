@@ -35,13 +35,12 @@ def lefschetz_number(a: IntMatrix, n: int) -> int:
     return _det2(mat_sub(mat_identity(2), mat_pow(a, n)))
 
 
-def _enumerate_count(m: IntMatrix, det: int) -> int:
-    """Count x in [0,1)^2 with m @ x integral, by walking the Smith cosets.
+def _enumerate_count(m: IntMatrix, det: int, d1: int, d2: int, p: IntMatrix) -> int:
+    """Count x in [0,1)^2 with m @ x integral, by walking the Smith cosets
+    of d = p m q with diagonal (d1, d2).
 
     Each point is kept as its integer numerator r = |det| x.
     """
-    d, p, _ = smith_normal_form(m)
-    d1, d2 = diagonal(d)
     # p is unimodular with d = p m q; cosets of the column lattice of m are
     # p^{-1} (i, j) for 0 <= i < d1, 0 <= j < d2, and y lies in the coset of
     # (i, j) exactly when p y = (i, j) mod (d1, d2).
@@ -90,13 +89,13 @@ def fixed_point_count(a: IntMatrix, n: int) -> int:
     det = _det2(m)
     if det == 0:
         raise ValueError(f"A^{n} - I is singular: fixed points are not isolated")
-    d, _, _ = smith_normal_form(m)
+    d, p, _ = smith_normal_form(m)
     d1, d2 = diagonal(d)
     by_smith = d1 * d2
     if by_smith != abs(det):
         raise CrossCheckError("Smith diagonal product disagrees with the determinant")
     if by_smith <= ENUMERATION_LIMIT:
-        by_enum = _enumerate_count(m, det)
+        by_enum = _enumerate_count(m, det, d1, d2, p)
         if by_enum != by_smith:
             raise CrossCheckError(
                 f"fixed point count mismatch: smith {by_smith}, enumeration {by_enum}"

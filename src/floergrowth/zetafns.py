@@ -1,9 +1,11 @@
 """Symplectic zeta series, the periodic-map radical form, and torus closed
 forms.
 
-All series arithmetic is exact: coefficients are Fractions, exponentials and
-logarithms use the standard convolution recurrences, and radical factors are
-expanded with the generalized binomial series at rational exponents.
+All series arithmetic is exact: coefficients are Fractions, and exponentials
+and logarithms use the standard convolution recurrences.  Each closed form is
+read off the series it stands for, exp(sum d_n t^n / n): the radical form
+expands through the dimensions its factors encode, and the torus form takes
+its sign flip and inversion from the signs of L(A) and L(A^2).
 """
 
 from __future__ import annotations
@@ -30,33 +32,11 @@ class PowerSeries:
         cs = cs + (Fraction(0),) * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls((), order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls((Fraction(1),), order)
-
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         order = min(self.order, other.order)
         return PowerSeries(
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), order
         )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        # binomial factors (1 - t^d)^alpha are nonzero only every d-th place
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs[: order + 1]) if b]
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a == 0:
-                continue
-            for j, b in nonzero:
-                if i + j > order:
-                    break
-                out[i + j] += a * b
-        return PowerSeries(tuple(out), order)
 
     def exp(self) -> "PowerSeries":
         """exp of a series with zero constant term."""
@@ -135,10 +115,10 @@ class RadicalRational:
         raise KeyError(d)
 
     def expand(self, order: int) -> PowerSeries:
-        out = PowerSeries.one(order)
-        for d, p in self.factors:
-            out = out * _binomial_factor(d, Fraction(-p, d), order)
-        return out
+        """The series exp(sum d_n t^n / n) with d_n the sum of P(d) over d | n:
+        the log of (1 - t^d)^(-P(d)/d) is sum_k P(d) t^(dk) / (dk)."""
+        dims = [sum(p for d, p in self.factors if n % d == 0) for n in range(1, order + 1)]
+        return symplectic_zeta_series(dims, order)
 
     def to_json(self) -> dict:
         return {
@@ -155,19 +135,6 @@ class RadicalRational:
             base = "1 - t" if d == 1 else f"1 - t^{d}"
             pieces.append(f"({base})^({Fraction(-p, d)})")
         return " * ".join(pieces) if pieces else "1"
-
-
-def _binomial_factor(d: int, alpha: Fraction, order: int) -> PowerSeries:
-    """(1 - t^d)^alpha by the generalized binomial series."""
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    coeff = Fraction(1)
-    k = 0
-    while (k + 1) * d <= order:
-        coeff = coeff * (alpha - k) / (k + 1)
-        k += 1
-        out[k * d] = coeff * ((-1) ** k)
-    return PowerSeries(tuple(out), order)
 
 
 def periodic_zeta(period: int, dims_on_divisors: Mapping[int, int]) -> RadicalRational:
@@ -221,31 +188,6 @@ def is_hyperbolic(a: IntMatrix) -> bool:
     return True
 
 
-def _eigen_counts(a: IntMatrix) -> tuple[int, int]:
-    """(number of eigenvalues with modulus > 1, number of real ones < -1),
-    via exact sign arguments on the characteristic polynomial."""
-    tau, delta = _trace_det(a)
-    disc = tau * tau - 4 * delta
-    if disc < 0:
-        # conjugate pair of modulus sqrt(delta)
-        return (2 if delta > 1 else 0), 0
-    p1 = 1 - tau + delta  # value at +1
-    p_1 = 1 + tau + delta  # value at -1
-    if p1 < 0:
-        above = 1
-    elif p1 > 0 and tau > 2:
-        above = 2
-    else:
-        above = 0
-    if p_1 < 0:
-        below = 1
-    elif p_1 > 0 and tau < -2:
-        below = 2
-    else:
-        below = 0
-    return above + below, below
-
-
 def weil_zeta_torus(a: IntMatrix) -> RationalFunction:
     """Rationalized Lefschetz series det(I - tA) / ((1 - t)(1 - det(A) t))."""
     tau, delta = _trace_det(a)
@@ -256,14 +198,18 @@ def weil_zeta_torus(a: IntMatrix) -> RationalFunction:
 
 def torus_symplectic_zeta(a: IntMatrix) -> RationalFunction:
     """Closed form of the iterate-dimension series for a hyperbolic linear
-    torus map: the Weil zeta evaluated at sigma*t, then inverted once per
-    expanding eigenvalue parity."""
+    torus map.
+
+    With r eigenvalues of modulus > 1 and p real ones below -1,
+    N(f^n) = |L(f^n)| = (-1)^(r + pn) L(f^n) (Fel'shtyn, Mem. AMS 699, 2000).
+    So the series is the Weil zeta at sigma*t, sigma = (-1)^p, inverted when
+    r is odd; L(A^2) carries the sign (-1)^r and L(A) the sign (-1)^(r + p).
+    """
     if not is_hyperbolic(a):
         raise ValueError("matrix has an eigenvalue of modulus 1 (not hyperbolic)")
-    r, p = _eigen_counts(a)
-    sigma = -1 if p % 2 else 1
-    out = weil_zeta_torus(a).substitute_sign(sigma)
-    if r % 2:
-        out = out.reciprocal()
-    return out
+    tau, delta = _trace_det(a)
+    l1 = 1 - tau + delta
+    l2 = 1 - tau * tau + 2 * delta + delta * delta
+    out = weil_zeta_torus(a).substitute_sign(-1 if (l1 < 0) != (l2 < 0) else 1)
+    return out.reciprocal() if l2 < 0 else out
 

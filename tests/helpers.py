@@ -160,6 +160,21 @@ def dense_series_product(a, b, order: int) -> list:
     return out
 
 
+def reference_radical_expansion(factors, order: int) -> list:
+    """Product of (1 - t^d)^alpha over (d, alpha) through t^order: each factor
+    by the generalized binomial series sum_k C(alpha, k) (-t^d)^k, multiplied
+    by the full convolution."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for d, alpha in factors:
+        factor = [Fraction(0)] * (order + 1)
+        binom = Fraction(1)
+        for k in range(order // d + 1):
+            factor[k * d] = binom * (-1) ** k
+            binom = binom * (alpha - k) / (k + 1)
+        out = dense_series_product(out, factor, order)
+    return out
+
+
 def reference_norm_interval(
     h: HElem,
     f: Endomorphism,

@@ -345,6 +345,11 @@ def _pa(**fields):
     return {"components": [{"kind": "pseudo-anosov", "dims": [1, 2, 3], **fields}]}
 
 
+def _rep1(dim=1, a=([[1]], [[1]])):
+    """A 1-dimensional permutation representation file for a rank-2 map."""
+    return {"dim": dim, "kind": "permutation", "a": list(a), "z": [[1]]}
+
+
 _CLASS_COMMANDS = (["assemble", "--class"], ["periodic-zeta", "--period", "2", "--class"])
 _ZETA_REP = ["zeta-twisted", "--images", "a b, a", "--rep"]
 _UNITARY_1 = [[[1.0, 0.0]]]
@@ -360,6 +365,10 @@ MALFORMED_FILES = [
         ("prongs-string", {"components": [{"kind": "fixed-b", "dim": 1, "prongs": "3"}]}),
         ("prongs-fraction", {"components": [{"kind": "fixed-b", "dim": 1, "prongs": 2.5}]}),
         ("count-list-string", {"components": [{"kind": "fixed-c", "dim": 1, "prongs": 2, "count": ["1"]}]}),
+        ("lefschetz-fraction", {"components": [{"kind": "periodic", "lefschetz": [1, 2.5, 4]}]}),
+        ("lefschetz-string", {"components": [{"kind": "periodic", "lefschetz": [1, 2, "4"]}]}),
+        ("dims-fraction", _pa(dims=[1, 2.5, 3])),
+        ("dims-string", _pa(dims=[1, "2", 3])),
     ]
     for cmd in _CLASS_COMMANDS
 ] + [
@@ -369,12 +378,26 @@ MALFORMED_FILES = [
         {"dim": 1, "kind": "unitary", "a": [_UNITARY_1, [[1.0]]], "z": _UNITARY_1},
         id="rep-unitary-bare-float",
     ),
+    pytest.param(_ZETA_REP, _rep1(a=[[[1.7]], [[1]]]), id="rep-entry-fraction"),
+    pytest.param(_ZETA_REP, _rep1(a=[[["1"]], [[1]]]), id="rep-entry-string"),
+    pytest.param(_ZETA_REP, _rep1(dim="1"), id="rep-dim-string"),
+    pytest.param(_ZETA_REP, _rep1(dim=1.0), id="rep-dim-float"),
     pytest.param(["trace", "--n", "2", "--map"], {"rank": 2, "images": [1, 2]}, id="map-images-numbers"),
     pytest.param(["fox", "--map"], [1, 2], id="map-top-level-list"),
     pytest.param(
         ["zeta-twisted", "--map"],
         {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[[1]]]},
         id="map-extra-cell-number",
+    ),
+    pytest.param(
+        ["trace", "--n", "2", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": ["a"]},
+        id="map-extra-matrix-string",
+    ),
+    pytest.param(
+        ["fox", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [["ab", "ba"]]},
+        id="map-extra-rows-strings",
     ),
 ]
 
@@ -437,6 +460,26 @@ PINNED_DIGESTS = [
         ["bounds", "--images", "a b, b c, c a B", "--n", "4"],
         "8a283c5336214bc9aae3f06b44f89cf5db6375b1fbb0a205565605f3dc9b1220",
         id="r3-bounds-n4",
+    ),
+    pytest.param(
+        ["torus", "--matrix", "2,1,1,1", "--n", "8"],
+        "f81c6a5c3b2f9e5a62adafe58dd02fa6d7fa967970858adb8c86eb9531ee5bc9",
+        id="anosov-torus-n8",
+    ),
+    pytest.param(
+        ["torus", "--matrix", "0,1,1,1", "--n", "8"],
+        "13d8ca3fd402f1767cb3118ddb9266a2e0a5c9a90e4b60583325f52c6feed75c",
+        id="fibonacci-torus-n8",
+    ),
+    pytest.param(
+        ["torus", "--matrix=-2,-1,-1,-1", "--n", "8"],
+        "da1578a41b2fcf8028f52ab2fcc20011a3e043564045bd785d1821bc4d2da5f4",
+        id="negative-torus-n8",
+    ),
+    pytest.param(
+        ["periodic-zeta", "--period", "12", "--dims", "1:2,2:4,3:6,4:8,6:12,12:24", "--order", "128"],
+        "413883a6aa207d7a16feda0bb804874138d79353e2b76a8e4f93aef0f4be11ea",
+        id="periodic-zeta-12-order128",
     ),
 ]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from floergrowth.freegroup import mat_identity, mat_pow, mat_sub
 from floergrowth.growth import growth_estimate
+from floergrowth.snf import diagonal, smith_normal_form
 from floergrowth.torus import (
     _enumerate_count,
     fixed_point_count,
@@ -81,7 +82,8 @@ def test_enumeration_matches_fraction_reference(a, n):
     m = mat_sub(mat_pow(a, n), mat_identity(2))
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     assume(0 < abs(det) <= 3000)
-    assert _enumerate_count(m, det) == abs(det)
+    d, p, _ = smith_normal_form(m)
+    assert _enumerate_count(m, det, *diagonal(d), p) == abs(det)
     assert len(reference_torus_points(m)) == abs(det)
 
 

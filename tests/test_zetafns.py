@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from floergrowth.zetafns import (
@@ -23,7 +23,7 @@ from floergrowth.zetafns import (
     weil_zeta_torus,
 )
 from floergrowth.torus import lefschetz_number
-from helpers import dense_series_product
+from helpers import reference_radical_expansion
 
 ANOSOV = ((2, 1), (1, 1))  # eigenvalues (3 +- sqrt 5)/2
 FIB_MAT = ((0, 1), (1, 1))  # eigenvalues (1 +- sqrt 5)/2
@@ -38,26 +38,6 @@ def test_power_series_arithmetic():
     a = PowerSeries(tuple(Fraction(c) for c in (1, 2, 3)), 2)
     b = PowerSeries(tuple(Fraction(c) for c in (1, -1, 0)), 2)
     assert (a + b).coeffs == (2, 1, 3)
-    assert (a * b).coeffs == (1, 1, 1)
-    assert PowerSeries.one(3).coeffs == (1, 0, 0, 0)
-
-
-# coefficients with many zeros, as in the binomial factors (1 - t^d)^alpha
-sparse_coeffs = st.lists(
-    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=6)),
-    max_size=24,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(sparse_coeffs, sparse_coeffs, st.integers(0, 20), st.integers(0, 20))
-def test_sparse_product_matches_dense_convolution(a, b, order_a, order_b):
-    x, y = PowerSeries(tuple(a), order_a), PowerSeries(tuple(b), order_b)
-    order = min(order_a, order_b)
-    want = tuple(dense_series_product(x.coeffs, y.coeffs, order))
-    assert (x * y).order == order
-    assert (x * y).coeffs == want
-    assert (y * x).coeffs == want
 
 
 def test_exp_log_roundtrip():
@@ -139,6 +119,17 @@ def test_periodic_zeta_matches_series():
         assert z.expand(order).coeffs == symplectic_zeta_series(seq, order).coeffs
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 36), st.data())
+def test_radical_expansion_matches_binomial_product(period, order, data):
+    """expand() equals the product of the rendered factors (1 - t^d)^(-P(d)/d),
+    each expanded by the generalized binomial series."""
+    dims = {d: data.draw(st.integers(0, 12)) for d in divisors(period)}
+    z = periodic_zeta(period, dims)
+    want = reference_radical_expansion([(d, z.exponent(d)) for d, _ in z.factors], order)
+    assert z.expand(order).coeffs == tuple(want)
+
+
 def test_periodic_dims_sequence_gcd_rule():
     dims = {1: 2, 2: 4, 4: 10}
     assert periodic_dims_sequence(4, dims, 8) == [2, 4, 2, 10, 2, 4, 2, 10]
@@ -201,7 +192,8 @@ def test_torus_symplectic_zeta_closed_forms():
     z = torus_symplectic_zeta(ANOSOV)
     assert z.numerator == (1, -2, 1)
     assert z.denominator == (1, -3, 1)
-    # Fibonacci matrix: negative eigenvalue below -1 flips the sign of t
+    # Fibonacci matrix: eigenvalues 1.618 and -0.618, none below -1, so t
+    # keeps its sign and the one expanding direction inverts the Weil zeta
     z = torus_symplectic_zeta(FIB_MAT)
     assert z.numerator == (1, 0, -1)
     assert z.denominator == (1, -1, -1)
@@ -213,13 +205,26 @@ def test_torus_symplectic_zeta_closed_forms():
         torus_symplectic_zeta(SHEAR)
 
 
-def test_torus_zeta_series_contract():
-    """The closed form expands to exp(sum |det(I - A^n)| t^n / n) exactly."""
+small = st.integers(-6, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.tuples(small, small), st.tuples(small, small)))
+@example(ANOSOV)  # inverted only
+@example(FIB_MAT)  # inverted only
+@example(((-2, -1), (-1, -1)))  # eigenvalues -2.618, -0.382: inverted, sigma = -1
+@example(((-2, 0), (0, 3)))  # two expanding, one below -1: sigma = -1 only
+@example(((-2, 0), (0, -3)))  # two below -1: neither
+@example(((1, -2), (2, 1)))  # complex pair of modulus sqrt 5: neither
+@example(((2, 0), (0, 0)))  # eigenvalues 2 and 0: inverted only
+def test_torus_zeta_series_contract(a):
+    """For every hyperbolic A the closed form expands to
+    exp(sum |det(I - A^n)| t^n / n) exactly, so the sign rule read from
+    L(A) and L(A^2) holds."""
+    assume(is_hyperbolic(a))
     order = 16
-    for a in (ANOSOV, FIB_MAT, ((-2, -1), (-1, -1))):
-        dims = [abs(lefschetz_number(a, n)) for n in range(1, order + 1)]
-        want = symplectic_zeta_series(dims, order).coeffs
-        assert torus_symplectic_zeta(a).series(order) == want
+    dims = [abs(lefschetz_number(a, n)) for n in range(1, order + 1)]
+    assert torus_symplectic_zeta(a).series(order) == symplectic_zeta_series(dims, order).coeffs
 
 
 def test_torus_zeta_radius_matches_spectrum():
