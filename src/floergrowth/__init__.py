@@ -6,7 +6,6 @@ from .foxcalc import RingElem, RingMatrix, chain_matrices, fox_derivative, jacob
 from .freegroup import Endomorphism, Word
 from .groupring import (
     HElem,
-    HMatrix,
     NormInterval,
     norm_interval,
     orbit_coordinate,
@@ -63,7 +62,6 @@ __all__ = [
     "jacobian",
     "chain_matrices",
     "HElem",
-    "HMatrix",
     "NormInterval",
     "orbit_coordinate",
     "reidemeister_trace",

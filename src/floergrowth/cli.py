@@ -83,10 +83,12 @@ def _load_json(path: str):
 
 @contextlib.contextmanager
 def _built_from(path: str):
-    """Report a TypeError or AttributeError raised while building objects from
-    a file's data as bad input naming the file."""
+    """Report a missing field, or a TypeError or AttributeError raised while
+    building objects from a file's data, as bad input naming the file."""
     try:
         yield
+    except KeyError as e:
+        raise CLIError(f"{path}: missing field {e.args[0]!r}") from None
     except (TypeError, AttributeError) as e:
         raise CLIError(f"{path}: malformed data ({e})") from None
 
@@ -95,7 +97,7 @@ def _ring_matrix(rows, rank: int) -> RingMatrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise TypeError(f"an extra matrix must be a list of rows, got {rows!r}")
     if not rows or any(len(r) != len(rows) for r in rows):
-        raise CLIError("extra matrices must be square and nonempty")
+        raise TypeError("extra matrices must be square and nonempty")
     return RingMatrix(
         tuple(tuple(RingElem.parse(cell, rank) for cell in row) for row in rows)
     )
@@ -537,9 +539,6 @@ def run(argv=None) -> int:
             payload, code = _DISPATCH[args.command](args)
         if args.verbose:
             print(f"[{args.command}] {time.perf_counter() - start:.3f}s", file=sys.stderr)
-    except CLIError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

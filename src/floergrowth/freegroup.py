@@ -14,11 +14,10 @@ construction.  Text I/O writes generators as ``a b c ...`` and inverses as
 
 from __future__ import annotations
 
-import json
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import neg
+from operator import index, neg
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -230,9 +229,7 @@ class Endomorphism:
 
     @classmethod
     def from_json(cls, data) -> "Endomorphism":
-        if isinstance(data, str):
-            data = json.loads(data)
-        rank = int(data["rank"])
+        rank = index(data["rank"])
         return cls(rank, tuple(Word.parse(s, rank) for s in data["images"]))
 
     def to_json(self) -> dict:

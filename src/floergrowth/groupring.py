@@ -2,8 +2,10 @@
 
 The mapping-torus group adds a letter z to the free group, with conjugation
 by z acting as the endomorphism.  A homogeneous element is written z^n * u
-with u in the group ring of the fiber; moving a body across z^n twists it by
-the n-th iterate, which is the whole content of ``h_matmul``.
+with u in the group ring of the fiber; moving a body across z^k twists it by
+the k-th iterate, which is the whole content of ``h_matmul``.  So
+(z M)^n = z^n f^(n-1)(M) ... f(M) M, the chain rule of Fox calculus, and
+``reidemeister_trace`` builds it one twisted left factor at a time.
 
 Norms of the Reidemeister trace are reported as certified intervals.  Terms
 are first split by an abelianized orbit invariant (different labels can never
@@ -49,65 +51,20 @@ class HElem:
         if self.z_degree < 0:
             raise ValueError("z_degree must be >= 0")
 
-    def norm(self) -> int:
-        return self.body.norm()
 
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
-    def to_text(self) -> str:
-        return f"z^{self.z_degree} * ({self.body.to_text()})"
+def h_matmul(x: RingMatrix, y: RingMatrix, k: int, f: Endomorphism) -> RingMatrix:
+    """Body of the product (z^a x)(z^k y): x twisted by the k-th iterate,
+    times y."""
+    fk = f.iterate(k)
+    return x.map_entries(lambda e: e.map_words(fk.apply)) * y
 
 
-@dataclass(frozen=True, slots=True)
-class HMatrix:
-    """A square matrix of homogeneous elements sharing one z-degree."""
-
-    z_degree: int
-    body: RingMatrix
-
-    def __post_init__(self):
-        if self.z_degree < 0:
-            raise ValueError("z_degree must be >= 0")
-        if self.body.nrows != self.body.ncols:
-            raise ValueError("HMatrix must be square")
-
-    @property
-    def size(self) -> int:
-        return self.body.nrows
-
-
-def h_matmul(x: HMatrix, y: HMatrix, f: Endomorphism) -> HMatrix:
-    """Product of homogeneous matrices: degrees add, the left body is twisted
-    by the iterate matching the right degree before ring multiplication."""
-    if x.size != y.size:
-        raise ValueError("size mismatch")
-    fn = f.iterate(y.z_degree)
-    twisted = x.body.map_entries(lambda e: e.map_words(fn.apply))
-    return HMatrix(x.z_degree + y.z_degree, twisted * y.body)
-
-
-def h_matrix_power(m: HMatrix, n: int, f: Endomorphism) -> HMatrix:
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    out = m
-    for _ in range(n - 1):
-        # m on the left: only the small factor m is twisted, by f^k
-        out = h_matmul(m, out, f)
-    return out
-
-
-def h_trace(m: HMatrix) -> HElem:
-    return HElem(m.z_degree, m.body.trace())
-
-
-def norm_matrix(m: RingMatrix | HMatrix) -> IntMatrix:
+def norm_matrix(m: RingMatrix) -> IntMatrix:
     """Entrywise coefficient norms, as a nonnegative integer matrix."""
-    body = m.body if isinstance(m, HMatrix) else m
-    return tuple(tuple(e.norm() for e in row) for row in body.entries)
+    return tuple(tuple(e.norm() for e in row) for row in m.entries)
 
 
-def matrix_norm(m: RingMatrix | HMatrix) -> int:
+def matrix_norm(m: RingMatrix) -> int:
     """Total norm: the sum of all entry norms."""
     return sum(sum(row) for row in norm_matrix(m))
 
@@ -165,8 +122,11 @@ def reidemeister_trace(
         raise ValueError("n must be >= 1")
     acc = RingElem.zero()
     for d, mat in enumerate(chain_matrices(f, extra_matrices)):
-        power = h_matrix_power(HMatrix(1, mat), n, f)
-        term = h_trace(power).body
+        power = mat
+        for k in range(1, n):
+            # mat on the left: only the small factor is twisted, by f^k
+            power = h_matmul(mat, power, k, f)
+        term = power.trace()
         acc = acc + (term if d % 2 == 0 else -term)
     return HElem(n, acc)
 

@@ -32,12 +32,6 @@ class PowerSeries:
         cs = cs + (Fraction(0),) * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", cs)
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        return PowerSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), order
-        )
-
     def exp(self) -> "PowerSeries":
         """exp of a series with zero constant term."""
         if self.coeffs[0] != 0:

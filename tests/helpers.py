@@ -7,11 +7,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from floergrowth.foxcalc import RingElem
+from floergrowth.foxcalc import RingElem, RingMatrix
 from floergrowth.freegroup import Endomorphism, Word
 from floergrowth.groupring import (
     HElem,
-    HMatrix,
     NormInterval,
     _reach_set,
     _UnionFind,
@@ -222,12 +221,12 @@ def reference_norm_interval(
     return NormInterval(lower, upper, lower == upper)
 
 
-def reference_h_matrix_power(m: HMatrix, n: int, f: Endomorphism) -> HMatrix:
-    """m^n as a right fold, m^(k+1) = m^k * m: each step twists the whole
-    accumulated power by f."""
+def reference_twisted_power(m: RingMatrix, n: int, f: Endomorphism) -> RingMatrix:
+    """The body of (z m)^n as a right fold, (z m)^(k+1) = (z m)^k (z m):
+    each step twists the whole accumulated power by f."""
     out = m
     for _ in range(n - 1):
-        out = h_matmul(out, m, f)
+        out = h_matmul(out, m, 1, f)
     return out
 
 

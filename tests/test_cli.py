@@ -147,11 +147,17 @@ def test_bounds_golden(capsys):
     assert cert["upper_bound_norm"] == "exact"
 
 
-def test_bounds_docs_extra_matrices(capsys, tmp_path):
-    """The extra matrices of the docs map enter the sequence estimate too."""
+def docs_map(tmp_path) -> Path:
+    """The endomorphism example of docs/input-formats.md, written to a file."""
     section = DOCS.read_text().split("## Endomorphism JSON")[1]
     endo = tmp_path / "endo.json"
     endo.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    return endo
+
+
+def test_bounds_docs_extra_matrices(capsys, tmp_path):
+    """The extra matrices of the docs map enter the sequence estimate too."""
+    endo = docs_map(tmp_path)
     rows = payload_of(capsys, ["trace", "--map", str(endo), "--n", "6"])["rows"]
     uppers = [row["norm_upper"] for row in rows]
     assert uppers == [2, 0, 5, 4, 12, 15]
@@ -369,6 +375,8 @@ MALFORMED_FILES = [
         ("lefschetz-string", {"components": [{"kind": "periodic", "lefschetz": [1, 2, "4"]}]}),
         ("dims-fraction", _pa(dims=[1, 2.5, 3])),
         ("dims-string", _pa(dims=[1, "2", 3])),
+        ("components-missing", {"genus": 2}),
+        ("component-kind-missing", {"components": [{"dim": 2}]}),
     ]
     for cmd in _CLASS_COMMANDS
 ] + [
@@ -382,6 +390,11 @@ MALFORMED_FILES = [
     pytest.param(_ZETA_REP, _rep1(a=[[["1"]], [[1]]]), id="rep-entry-string"),
     pytest.param(_ZETA_REP, _rep1(dim="1"), id="rep-dim-string"),
     pytest.param(_ZETA_REP, _rep1(dim=1.0), id="rep-dim-float"),
+    pytest.param(_ZETA_REP, {"kind": "permutation", "a": [[[1]], [[1]]], "z": [[1]]}, id="rep-dim-missing"),
+    pytest.param(["fox", "--map"], {"rank": 2.7, "images": ["a b", "a"]}, id="map-rank-fraction"),
+    pytest.param(["fox", "--map"], {"rank": "2", "images": ["a b", "a"]}, id="map-rank-string"),
+    pytest.param(["fox", "--map"], "a b", id="map-json-string"),
+    pytest.param(["trace", "--n", "2", "--map"], {"images": ["a b", "a"]}, id="map-rank-missing"),
     pytest.param(["trace", "--n", "2", "--map"], {"rank": 2, "images": [1, 2]}, id="map-images-numbers"),
     pytest.param(["fox", "--map"], [1, 2], id="map-top-level-list"),
     pytest.param(
@@ -398,6 +411,16 @@ MALFORMED_FILES = [
         ["fox", "--map"],
         {"rank": 2, "images": ["a b", "a"], "extra_matrices": [["ab", "ba"]]},
         id="map-extra-rows-strings",
+    ),
+    pytest.param(
+        ["trace", "--n", "2", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1", "a"]]]},
+        id="map-extra-oblong",
+    ),
+    pytest.param(
+        ["trace", "--n", "2", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[]]},
+        id="map-extra-empty",
     ),
 ]
 
@@ -429,7 +452,9 @@ def payload_and_raw(capsys, argv):
 
 # SHA-256 of the full stdout of run(argv).  Any change to canonical term
 # order, word rendering or payload layout changes these digests; update them
-# only together with a note saying why the output changed.
+# only together with a note saying why the output changed.  DOCS_MAP stands
+# for the docs endomorphism example written to a file.
+DOCS_MAP = "DOCS_MAP"
 PINNED_DIGESTS = [
     pytest.param(
         ["trace", "--images", "a b, a", "--n", "6"],
@@ -481,11 +506,18 @@ PINNED_DIGESTS = [
         "413883a6aa207d7a16feda0bb804874138d79353e2b76a8e4f93aef0f4be11ea",
         id="periodic-zeta-12-order128",
     ),
+    pytest.param(
+        ["trace", "--map", DOCS_MAP, "--n", "6"],
+        "48869a322180ef7e1ab8fbdc49c456aff65326b07af22ea59366f8749dac2cba",
+        id="docs-extra-matrix-trace-n6",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_DIGESTS)
-def test_output_bytes_pinned(capsys, argv, digest):
+def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
+    if DOCS_MAP in argv:
+        argv = [str(docs_map(tmp_path)) if a == DOCS_MAP else a for a in argv]
     out = payload_and_raw(capsys, argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

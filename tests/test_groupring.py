@@ -11,11 +11,8 @@ from floergrowth.foxcalc import RingElem, RingMatrix, jacobian
 from floergrowth.freegroup import Endomorphism, Word, mat_pow, mat_trace
 from floergrowth.groupring import (
     HElem,
-    HMatrix,
     NormInterval,
     h_matmul,
-    h_matrix_power,
-    h_trace,
     matrix_norm,
     norm_interval,
     norm_matrix,
@@ -28,8 +25,8 @@ from helpers import (
     lucas,
     random_endo,
     random_reduced_word,
-    reference_h_matrix_power,
     reference_norm_interval,
+    reference_twisted_power,
     ring_elems,
 )
 
@@ -38,88 +35,52 @@ def elem(text: str) -> RingElem:
     return RingElem.parse(text)
 
 
-def h1(x: HElem) -> HMatrix:
-    """The 1x1 homogeneous matrix holding x."""
-    return HMatrix(x.z_degree, RingMatrix(((x.body,),)))
+def m1(text: str) -> RingMatrix:
+    """The 1x1 ring matrix holding the parsed element."""
+    return RingMatrix(((elem(text),),))
 
 
 def test_h_matmul_1x1_examples(swap, doubling):
-    # degree 0,0 is the plain group-ring product
-    x = HElem(0, elem("1 + a"))
-    y = HElem(0, elem("a"))
-    assert h_matmul(h1(x), h1(y), swap) == h1(HElem(0, elem("a + a a")))
+    # k = 0 is the plain group-ring product
+    assert h_matmul(m1("1 + a"), m1("a"), 0, swap) == m1("a + a a")
     # (z a)(z 1) twists a by one application of the map first
-    za = HElem(1, elem("a"))
-    z1 = HElem(1, elem("1"))
-    assert h_matmul(h1(za), h1(z1), swap) == h1(HElem(2, elem("b")))
-    assert h_matmul(h1(z1), h1(z1), doubling) == h1(HElem(2, elem("1")))
+    assert h_matmul(m1("a"), m1("1"), 1, swap) == m1("b")
+    assert h_matmul(m1("1"), m1("1"), 1, doubling) == m1("1")
+    # (z^j a)(z^3 1) twists a by the third iterate, a -> a^8
+    assert h_matmul(m1("a"), m1("1"), 3, doubling) == m1("a^8")
+    # f(a) = a^2: (z(1 + a))^2 = z^2 (1 + a^2)(1 + a)
+    m = jacobian(doubling)
+    assert h_matmul(m, m, 1, doubling) == m1("1 + a + a^2 + a^3")
 
 
-def test_h_matmul_degrees_add():
-    rng = random.Random(97)
-    for _ in range(60):
-        rank = rng.randint(1, 3)
-        f = random_endo(rng, rank, 3)
-        x = HElem(rng.randint(0, 3), RingElem.monomial(random_reduced_word(rng, rank, 5)))
-        y = HElem(rng.randint(0, 3), RingElem.monomial(random_reduced_word(rng, rank, 5)))
-        assert h_matmul(h1(x), h1(y), f).z_degree == x.z_degree + y.z_degree
-
-
-def test_h_matrix_power_examples(doubling):
-    m = HMatrix(1, jacobian(doubling))
-    assert h_matrix_power(m, 1, doubling) == m
-    # f(a)=a^2: (z(1+a))^2 = z^2 (1+a^2)(1+a)
-    assert h_matrix_power(m, 2, doubling) == HMatrix(2, RingMatrix(((elem("1 + a + a^2 + a^3"),),)))
-    ident1 = Endomorphism.identity(1)
-    unit = HMatrix(1, RingMatrix.identity(1))
-    for n in (1, 2, 5):
-        assert h_matrix_power(unit, n, ident1) == HMatrix(n, RingMatrix.identity(1))
-
-
-def test_h_matrix_power_is_additive():
+def test_twisted_power_is_additive():
+    """(z m)^(a+b) = (z m)^a (z m)^b: the left factor is twisted by f^b."""
     rng = random.Random(101)
     for _ in range(30):
         rank = rng.randint(1, 2)
         f = random_endo(rng, rank, 3)
-        m = HMatrix(1, jacobian(f))
+        m = jacobian(f)
         a, b = rng.randint(1, 3), rng.randint(1, 3)
-        assert h_matrix_power(m, a + b, f) == h_matmul(
-            h_matrix_power(m, a, f), h_matrix_power(m, b, f), f
+        assert reference_twisted_power(m, a + b, f) == h_matmul(
+            reference_twisted_power(m, a, f), reference_twisted_power(m, b, f), b, f
         )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_h_matrix_power_matches_right_fold(data):
-    """Multiplying on the left twists only the small factor; by
-    associativity the power is the same as the right fold's."""
+def test_trace_power_matches_right_fold(data):
+    """The trace multiplies on the left and twists only the small factor; by
+    associativity an extra matrix m adds the trace of the right fold's power
+    (degree 2 enters with a plus sign)."""
     f = data.draw(endomorphisms(3, 2))
     n = data.draw(st.integers(1, 4))
     if data.draw(st.booleans()):
-        m = HMatrix(1, jacobian(f))
+        m = jacobian(f)
     else:
         entries = data.draw(st.lists(ring_elems(f.rank, 3, 3), min_size=4, max_size=4))
-        m = HMatrix(
-            data.draw(st.integers(0, 2)), RingMatrix((tuple(entries[:2]), tuple(entries[2:])))
-        )
-    assert h_matrix_power(m, n, f) == reference_h_matrix_power(m, n, f)
-
-
-def test_h_trace():
-    one = HMatrix(3, RingMatrix.identity(1).map_entries(lambda x: elem("a")))
-    assert h_trace(one) == HElem(3, elem("a"))
-    diag = HMatrix(
-        1,
-        RingMatrix(
-            (
-                (elem("a"), elem("0")),
-                (elem("0"), elem("b")),
-            )
-        ),
-    )
-    assert h_trace(diag) == HElem(1, elem("a + b"))
-    zero = HMatrix(2, RingMatrix(((elem("0"),),)))
-    assert h_trace(zero).is_zero()
+        m = RingMatrix((tuple(entries[:2]), tuple(entries[2:])))
+    added = reidemeister_trace(f, n, [m]).body - reidemeister_trace(f, n).body
+    assert added == reference_twisted_power(m, n, f).trace()
 
 
 def test_norm_examples():
@@ -127,7 +88,6 @@ def test_norm_examples():
     assert RingElem.zero().norm() == 0
     assert (RingElem.monomial(w, 3) + RingElem.monomial(wp, -2)).norm() == 5
     assert (RingElem.monomial(w, 2) + RingElem.monomial(w, 3)).norm() == 5
-    assert HElem(2, elem("1 - a")).norm() == 2
 
 
 def test_norm_matrix_examples(golden):
@@ -135,9 +95,6 @@ def test_norm_matrix_examples(golden):
     assert norm_matrix(jacobian(golden)) == ((1, 1), (1, 0))
     assert norm_matrix(RingMatrix(((elem("1 + a"),),))) == ((2,),)
     assert matrix_norm(jacobian(golden)) == 3
-    # wrapping in z leaves every norm unchanged
-    assert matrix_norm(HMatrix(1, jacobian(golden))) == matrix_norm(jacobian(golden))
-    assert norm_matrix(HMatrix(1, jacobian(golden))) == norm_matrix(jacobian(golden))
 
 
 def test_norm_inequalities():
@@ -152,12 +109,12 @@ def test_norm_inequalities():
                     for _ in range(rng.randint(0, 3))
                 }.items()
             )
-        x = HElem(rng.randint(0, 2), rand_elem())
-        y = HElem(rng.randint(0, 2), rand_elem())
-        assert (x.body + y.body).norm() <= x.norm() + y.norm()
-        assert matrix_norm(h_matmul(h1(x), h1(y), f)) <= x.norm() * y.norm()
-        m = HMatrix(1, jacobian(f))
-        assert h_trace(m).norm() <= matrix_norm(m)
+        x, y = rand_elem(), rand_elem()
+        assert (x + y).norm() <= x.norm() + y.norm()
+        twisted = h_matmul(RingMatrix(((x,),)), RingMatrix(((y,),)), rng.randint(0, 2), f)
+        assert matrix_norm(twisted) <= x.norm() * y.norm()
+        m = jacobian(f)
+        assert m.trace().norm() <= matrix_norm(m)
 
 
 def test_orbit_coordinate_examples(identity2, doubling, golden):
@@ -381,5 +338,10 @@ def test_norm_interval_unsettled_group_searches_every_term(monkeypatch):
 def test_helem_validation():
     with pytest.raises(ValueError):
         HElem(-1, RingElem.one())
-    with pytest.raises(ValueError):
-        HMatrix(1, RingMatrix(((elem("1"), elem("a")),)))
+
+
+def test_non_square_extra_matrix_is_rejected(golden):
+    oblong = RingMatrix(((elem("1"), elem("a")),))
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError):
+            reidemeister_trace(golden, n, [oblong])

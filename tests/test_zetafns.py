@@ -34,12 +34,6 @@ def series_tuple(ps: PowerSeries) -> tuple:
     return ps.coeffs
 
 
-def test_power_series_arithmetic():
-    a = PowerSeries(tuple(Fraction(c) for c in (1, 2, 3)), 2)
-    b = PowerSeries(tuple(Fraction(c) for c in (1, -1, 0)), 2)
-    assert (a + b).coeffs == (2, 1, 3)
-
-
 def test_exp_log_roundtrip():
     rng = random.Random(151)
     for _ in range(40):
