@@ -155,9 +155,6 @@ def test_ring_matrix_operations(golden):
             (elem("1"), elem("a")),
         )
     )
-    diag = RingMatrix(((elem("a"), elem("0")), (elem("0"), elem("b"))))
-    assert diag.trace() == elem("a + b")
-    assert RingMatrix(((elem("0"),),)).trace().is_zero()
     with pytest.raises(ValueError):
         RingMatrix(((elem("1"),), (elem("1"), elem("a"))))
 

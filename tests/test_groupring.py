@@ -48,9 +48,23 @@ def test_h_matmul_1x1_examples(swap, doubling):
     assert h_matmul(m1("1"), m1("1"), 1, doubling) == m1("1")
     # (z^j a)(z^3 1) twists a by the third iterate, a -> a^8
     assert h_matmul(m1("a"), m1("1"), 3, doubling) == m1("a^8")
+
+
+def test_h_matrix_power_examples(doubling):
     # f(a) = a^2: (z(1 + a))^2 = z^2 (1 + a^2)(1 + a)
     m = jacobian(doubling)
-    assert h_matmul(m, m, 1, doubling) == m1("1 + a + a^2 + a^3")
+    square = m1("1 + a + a^2 + a^3")
+    assert h_matmul(m, m, 1, doubling) == square
+    # the trace's own power loop gives the same square (an extra degree-2
+    # matrix enters with a plus sign)
+    added = reidemeister_trace(doubling, 2, [m]).body - reidemeister_trace(doubling, 2).body
+    assert added == square.trace()
+    # powers of z times the unit matrix under the identity map stay the unit
+    ident1 = Endomorphism.identity(1)
+    unit = RingMatrix.identity(1)
+    for n in (1, 2, 5):
+        assert reference_twisted_power(unit, n, ident1) == unit
+        assert reidemeister_trace(ident1, n, [unit]) == HElem(n, elem("1"))
 
 
 def test_twisted_power_is_additive():
@@ -81,6 +95,16 @@ def test_trace_power_matches_right_fold(data):
         m = RingMatrix((tuple(entries[:2]), tuple(entries[2:])))
     added = reidemeister_trace(f, n, [m]).body - reidemeister_trace(f, n).body
     assert added == reference_twisted_power(m, n, f).trace()
+
+
+def test_h_trace():
+    assert m1("a").trace() == elem("a")
+    diag = RingMatrix(((elem("a"), elem("0")), (elem("0"), elem("b"))))
+    assert diag.trace() == elem("a + b")
+    assert m1("0").trace().is_zero()
+    # the Reidemeister trace carries the z-degree n of the power it traces
+    ident1 = Endomorphism.identity(1)
+    assert reidemeister_trace(ident1, 3, [m1("a")]) == HElem(3, elem("a^3"))
 
 
 def test_norm_examples():
