@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import json
 import logging
-import operator
 import re
 import sys
 import time
@@ -21,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .foxcalc import RingElem, RingMatrix, jacobian
-from .freegroup import Endomorphism
+from .freegroup import Endomorphism, as_integer
 from .groupring import DEFAULT_SEARCH_DEPTH, norm_interval, reidemeister_trace
 from .growth import MIN_GROWTH_TERMS, full_report, growth_estimate
 from .mappingclass import (
@@ -83,14 +82,17 @@ def _load_json(path: str):
 
 @contextlib.contextmanager
 def _built_from(path: str):
-    """Report a missing field, or a TypeError or AttributeError raised while
-    building objects from a file's data, as bad input naming the file."""
+    """Report a missing field, a TypeError or AttributeError, or a ValueError
+    raised while building objects from a file's data, as bad input naming the
+    file."""
     try:
         yield
     except KeyError as e:
         raise CLIError(f"{path}: missing field {e.args[0]!r}") from None
     except (TypeError, AttributeError) as e:
         raise CLIError(f"{path}: malformed data ({e})") from None
+    except ValueError as e:
+        raise CLIError(f"{path}: {e}") from None
 
 
 def _ring_matrix(rows, rank: int) -> RingMatrix:
@@ -120,7 +122,7 @@ def _load_rep(args, f: Endomorphism, extras) -> Representation:
     if getattr(args, "rep", None):
         data = _load_json(args.rep)
         with _built_from(args.rep):
-            check_block_size(f, operator.index(data["dim"]), extras)
+            check_block_size(f, as_integer(data["dim"], "dim"), extras)
             rep = Representation.from_json(data)
     elif getattr(args, "modulus", None):
         check_block_size(f, args.modulus ** f.rank, extras)
@@ -270,8 +272,7 @@ def _cmd_zeta_twisted(args) -> tuple[dict, int]:
         series = zeta.series(args.order)
         payload["series"] = [_coeff_json(c) for c in series]
         payload["lefschetz_check"] = [
-            _coeff_json(twisted_lefschetz(f, rep, n, extras))
-            for n in range(1, min(args.order, 8) + 1)
+            _coeff_json(c) for c in twisted_lefschetz(f, rep, min(args.order, 8), extras)
         ]
     code = EXIT_OK
     if args.strict and not rep.is_exact():
@@ -286,7 +287,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
             f"bounds needs --n of at least {MIN_GROWTH_TERMS} for its sequence estimate"
         )
     f, extras = _load_endo(args)
-    rep = _load_rep(args, f, extras) if (args.rep or args.modulus) else None
+    rep = _load_rep(args, f, extras)
     report = full_report(
         f,
         rep=rep,
@@ -296,7 +297,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     )
     payload = report.to_json()
     payload["certification"] = {
-        "lower_bound": "exact" if (rep is None or rep.is_exact()) else f"float({CANCEL_TOL:g})",
+        "lower_bound": "exact" if rep.is_exact() else f"float({CANCEL_TOL:g})",
         "upper_bound_norm": "exact",
         "upper_bound_spectral": "float(1e-10 cross-check)",
         "sequence_estimate": "certified-interval uppers",

@@ -27,6 +27,18 @@ _MAX_NAMED = len(_LOWER)
 _NAMES = {s * i: ch if s > 0 else ch.upper() for i, ch in enumerate(_LOWER, 1) for s in (1, -1)}
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as an int.  A bool is not an integer here (JSON ``true``
+    would pass ``operator.index`` as 1), so it is rejected like any other
+    non-integer, with a TypeError naming ``what``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for raw in letters:
@@ -229,7 +241,7 @@ class Endomorphism:
 
     @classmethod
     def from_json(cls, data) -> "Endomorphism":
-        rank = index(data["rank"])
+        rank = as_integer(data["rank"], "rank")
         return cls(rank, tuple(Word.parse(s, rank) for s in data["images"]))
 
     def to_json(self) -> dict:

@@ -34,7 +34,7 @@ from .freegroup import (
     mat_sub,
     vec_mat,
 )
-from .snf import diagonal, smith_normal_form
+from .snf import smith_normal_form
 
 DEFAULT_SEARCH_DEPTH = 8
 _MAX_REACH_STATES = 4000
@@ -77,8 +77,8 @@ def _orbit_frame(f: Endomorphism, n: int) -> tuple[IntMatrix, IntMatrix, tuple[i
     I - A^n, shared by every term of an n-th trace."""
     a = f.abelianize()
     m = mat_sub(mat_identity(f.rank), mat_pow(a, n))
-    d, _, q = smith_normal_form(m)
-    return a, q, tuple(diagonal(d))
+    diag, _, q = smith_normal_form(m)
+    return a, q, diag
 
 
 def orbit_coordinate(g: Word, f: Endomorphism, n: int) -> tuple[int, ...]:

@@ -69,7 +69,7 @@ def _block_root_modulus(block) -> float:
     """Max root modulus of an irreducible block via its characteristic polynomial."""
     import numpy as np
 
-    coeffs = det_one_minus_t(block, exact=True)
+    coeffs = det_one_minus_t(block)
     arr = np.array([float(c) for c in coeffs])
     if len(arr) == 1:
         return 0.0
@@ -184,13 +184,12 @@ class GrowthReport:
 def full_report(
     f: Endomorphism,
     rep: Representation | None = None,
-    dims: Sequence[float] | None = None,
     extra_matrices: Sequence[RingMatrix] = (),
     n_iterates: int = 6,
     search_depth: int = DEFAULT_SEARCH_DEPTH,
 ) -> GrowthReport:
-    """Assemble all bounds; the measured sequence defaults to the certified
-    interval uppers of the first few iterates when none is supplied."""
+    """Assemble all bounds; the measured sequence is the certified interval
+    uppers of the first ``n_iterates`` iterates."""
     zeta_lower = lower_bound_zeta(f, rep, extra_matrices)
     lower = max(1.0, zeta_lower)
     spectral = upper_bound_spectral(f, extra_matrices)
@@ -200,22 +199,17 @@ def full_report(
         + ("" if zeta_lower >= 1.0 else " (clamped to 1)"),
         "upper_bound_spectral": "spectral radius of the entrywise-norm matrices",
         "upper_bound_norm": "total group-ring norm of the chain matrices",
+        "sequence_estimate": "tail-window proxy from interval uppers",
     }
     if lower > spectral + 1e-9:
         raise CrossCheckError(
             f"bound sandwich violated: lower {lower} > spectral upper {spectral}"
         )
-    if dims is None:
-        dims = [
-            reidemeister_interval(
-                f, n, search_depth=search_depth, extra_matrices=extra_matrices
-            ).upper
-            for n in range(1, n_iterates + 1)
-        ]
-        provenance["sequence_estimate"] = "tail-window proxy from interval uppers"
-    else:
-        provenance["sequence_estimate"] = "tail-window proxy from supplied dims"
-    est = growth_estimate(dims)
+    uppers = [
+        reidemeister_interval(f, n, search_depth=search_depth, extra_matrices=extra_matrices).upper
+        for n in range(1, n_iterates + 1)
+    ]
+    est = growth_estimate(uppers)
     entropy = {
         "lower_bound": math.log(lower),
         "upper_bound_spectral": math.log(spectral) if spectral > 0 else float("-inf"),

@@ -14,9 +14,9 @@ Euler-characteristic shortcuts for computing them.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
+from .freegroup import as_integer
 from .growth import GrowthReport, growth_estimate
 from .zetafns import RadicalRational, divisors, periodic_zeta
 
@@ -41,15 +41,8 @@ def _per_iterate(value, n: int, what: str):
     return value
 
 
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _integers(values, what: str) -> tuple[int, ...]:
-    return tuple(_integer(x, what) for x in values)
+    return tuple(as_integer(x, what) for x in values)
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,7 @@ class ComponentSpec:
             if isinstance(v, (list, tuple)) and key != "prongs":
                 v = _integers(v, f"{kind} {key} entry")
             elif v is not None:
-                v = _integer(v, f"{kind} {key}")
+                v = as_integer(v, f"{kind} {key}")
             object.__setattr__(self, key, v)
         if kind in (FIXED_A, FIXED_B, FIXED_C) and self.dim is None:
             raise ValueError(f"{kind} component needs a dim")

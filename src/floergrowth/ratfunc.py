@@ -1,12 +1,12 @@
 """Polynomials in t and rational functions with exact or float coefficients.
 
-The exact lane starts from integer matrices (twisted blocks of permutation
-representations, entrywise-norm matrices), so their characteristic
-polynomials are computed over the integers; Fractions appear only in the
-polynomial gcd that cancels common factors and in series expansion.  The
-float lane carries complex coefficients and does root-matching cancellation
-with a stated tolerance.  Floats only ever appear at the root-finding
-boundary.
+The arithmetic lane follows the data.  Integer matrices (twisted blocks of
+permutation representations, entrywise-norm matrices) get their
+characteristic polynomials over the integers; Fractions appear only in the
+polynomial gcd that cancels common factors and in series expansion.  Any
+other matrix runs the same recurrence in complex floats, and its rational
+functions cancel by root matching with a stated tolerance.  Floats only ever
+appear at the root-finding boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .freegroup import sparse_mat_mul, sparse_rows
+from .freegroup import mat_trace, sparse_mat_mul, sparse_rows
 
 log = logging.getLogger(__name__)
 
@@ -93,26 +93,24 @@ def poly_gcd_exact(a, b):
     return a
 
 
-def det_one_minus_t(mat: Sequence[Sequence], exact: bool):
+def det_one_minus_t(mat: Sequence[Sequence]):
     """Coefficients of det(I - t*B) by the Faddeev-LeVerrier recurrence,
     multiplying through B's sparse rows.
 
-    The exact lane needs an integer matrix and returns integers: for an
-    integer B every trace in the recurrence is divisible by its step number,
-    so a nonzero remainder means the arithmetic went wrong and raises
-    CrossCheckError.  The float lane runs the same recurrence in complex
-    floats.
+    A matrix of integers (every entry passes ``operator.index``) gives
+    integers: for an integer B every trace in the recurrence is divisible by
+    its step number, so a nonzero remainder means the arithmetic went wrong
+    and raises CrossCheckError.  Any other matrix runs the same recurrence in
+    complex floats.
     """
     n = len(mat)
-    if exact:
-        try:
-            rows = sparse_rows([[operator.index(x) for x in row] for row in mat])
-        except TypeError:
-            raise ValueError("the exact lane needs an integer matrix") from None
-        zero = 0
-    else:
+    try:
+        rows = sparse_rows([[operator.index(x) for x in row] for row in mat])
+        integer = True
+    except TypeError:
         rows = sparse_rows([[complex(x) for x in row] for row in mat])
-        zero = complex(0)
+        integer = False
+    zero = 0 if integer else complex(0)
     m = [[zero] * n for _ in range(n)]
     c = zero + 1
     coeffs = [c]
@@ -120,15 +118,14 @@ def det_one_minus_t(mat: Sequence[Sequence], exact: bool):
         for i in range(n):
             m[i][i] += c
         m = sparse_mat_mul(rows, m)
-        minus_trace = -sum(m[i][i] for i in range(n))
-        if exact:
-            c, remainder = divmod(minus_trace, k)
+        if integer:
+            c, remainder = divmod(-mat_trace(m), k)
             if remainder:
                 raise CrossCheckError(
                     f"Faddeev-LeVerrier step {k}: trace is not divisible by {k}"
                 )
         else:
-            c = minus_trace / k
+            c = -mat_trace(m) / k
         coeffs.append(c)
     return _trim(coeffs)
 
@@ -150,17 +147,22 @@ def _roots_nonzero(p):
     return out
 
 
+def _exact_coefficients(coeffs) -> bool:
+    return all(isinstance(c, (int, Fraction)) for c in coeffs)
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """num/den in t, both normalized to constant term 1.
 
-    ``cancelled`` records root pairs removed in the float lane (closer than
-    the cancellation tolerance); the exact lane cancels by polynomial gcd.
+    The coefficients carry the lane: all ints and Fractions is exact, any
+    other number is the float lane.  ``cancelled`` records root pairs removed
+    in the float lane (closer than the cancellation tolerance); the exact lane
+    cancels by polynomial gcd.
     """
 
     numerator: tuple
     denominator: tuple
-    exact: bool
     cancelled: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -171,9 +173,16 @@ class RationalFunction:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
+    @property
+    def exact(self) -> bool:
+        """Whether every coefficient is an int or a Fraction."""
+        return _exact_coefficients(self.numerator + self.denominator)
+
     @classmethod
-    def from_parts(cls, num, den, exact: bool) -> "RationalFunction":
-        if exact:
+    def from_parts(cls, num, den) -> "RationalFunction":
+        """num/den with common factors cancelled: by polynomial gcd when every
+        coefficient is an int or a Fraction, by root matching otherwise."""
+        if _exact_coefficients((*num, *den)):
             num = tuple(Fraction(c) for c in _trim(num))
             den = tuple(Fraction(c) for c in _trim(den))
             g = poly_gcd_exact(num, den)
@@ -182,7 +191,7 @@ class RationalFunction:
                 num, _ = _poly_divmod_exact(num, g)
                 den, _ = _poly_divmod_exact(den, g)
                 log.info("cancelled a common factor of degree %d", poly_degree(g))
-            return cls(tuple(num), tuple(den), True)
+            return cls(tuple(num), tuple(den))
         num = [complex(c) for c in _trim(num)]
         den = [complex(c) for c in _trim(den)]
         rn = [w for w, _ in _roots_nonzero(num)]
@@ -209,22 +218,17 @@ class RationalFunction:
                 p = list(poly_mul(p, (complex(1), complex(-1) / w)))
             return tuple(p)
 
-        return cls(
-            rebuild(kept_n),
-            rebuild(kept_d),
-            False,
-            cancelled=tuple(cancelled),
-        )
+        return cls(rebuild(kept_n), rebuild(kept_d), cancelled=tuple(cancelled))
 
     def reciprocal(self) -> "RationalFunction":
-        return RationalFunction(self.denominator, self.numerator, self.exact, self.cancelled)
+        return RationalFunction(self.denominator, self.numerator, self.cancelled)
 
     def substitute_sign(self, sigma: int) -> "RationalFunction":
         """Replace t by sigma*t for sigma = +-1."""
         if sigma not in (1, -1):
             raise ValueError("sigma must be +-1")
         flip = lambda p: tuple(c * (sigma ** k) for k, c in enumerate(p))
-        return RationalFunction(flip(self.numerator), flip(self.denominator), self.exact)
+        return RationalFunction(flip(self.numerator), flip(self.denominator))
 
     def roots(self):
         """(value, residual) pairs for numerator then denominator roots."""

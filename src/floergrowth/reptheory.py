@@ -13,12 +13,11 @@ of the generator's image.  numpy is imported only on the unitary lane.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from .foxcalc import RingMatrix, chain_matrices
-from .freegroup import Endomorphism, Word, sparse_mat_mul, sparse_rows
+from .freegroup import Endomorphism, Word, as_integer, mat_trace, sparse_mat_mul, sparse_rows
 from .ratfunc import RationalFunction, det_one_minus_t, poly_mul
 
 UNITARY_TOL = 1e-8
@@ -35,7 +34,7 @@ UNITARY = "unitary"
 def _permutation(p, dim: int) -> tuple[int, ...]:
     error = "a permutation image must be an index tuple listing 0..dim-1 once each"
     try:
-        perm = tuple(operator.index(x) for x in p)
+        perm = tuple(as_integer(x, "a permutation image entry") for x in p)
     except TypeError:
         raise ValueError(error) from None
     if sorted(perm) != list(range(dim)):
@@ -59,7 +58,7 @@ def _matrix_to_permutation(m) -> tuple[int, ...]:
     error = "permutation representation needs 0/1 permutation matrices"
     out = []
     for row in m:
-        ints = [operator.index(x) for x in row]
+        ints = [as_integer(x, "a permutation matrix cell") for x in row]
         if len(ints) != len(m) or any(x not in (0, 1) for x in ints) or sum(ints) != 1:
             raise ValueError(error)
         out.append(ints.index(1))
@@ -161,7 +160,7 @@ class Representation:
                 [[complex(x[0], x[1]) for x in row] for row in m], dtype=complex
             )
         return cls(
-            dim=operator.index(data["dim"]),
+            dim=as_integer(data["dim"], "dim"),
             kind=kind,
             gen_images=tuple(decode(m) for m in data["a"]),
             z_image=decode(data["z"]),
@@ -285,29 +284,26 @@ def twisted_lefschetz(
     rep: Representation,
     n: int,
     extra_matrices: Sequence[RingMatrix] = (),
-):
-    """Alternating sum of traces of n-th powers of the twisted chain blocks.
+) -> list:
+    """Twisted Lefschetz numbers [L(f^1), ..., L(f^n)]: alternating sums over
+    chain degrees of the traces of the powers of the twisted blocks.
 
-    Exact (int) for permutation representations, complex for unitary ones.
+    Each block is twisted once and its powers are taken in one pass of
+    sparse products.  Exact (int) for permutation representations, complex
+    for unitary ones.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    blocks = _degree_blocks(f, rep, extra_matrices)
-    total = 0 if rep.is_exact() else complex(0)
-    for d, b in enumerate(blocks):
-        if rep.is_exact():
-            rows = sparse_rows(b)
-            p = [list(row) for row in b]
-            for _ in range(n - 1):
-                p = sparse_mat_mul(rows, p)
-            tr = sum(p[i][i] for i in range(len(p)))
-        else:
-            import numpy as np
-
-            p = np.linalg.matrix_power(b, n)
-            tr = complex(np.trace(p))
-        total = total + (tr if d % 2 == 0 else -tr)
-    return total
+    out = [0] * n
+    for d, b in enumerate(_degree_blocks(f, rep, extra_matrices)):
+        power = b if rep.is_exact() else [[complex(x) for x in row] for row in b]
+        rows = sparse_rows(power)
+        for k in range(n):
+            if k:
+                power = sparse_mat_mul(rows, power)
+            tr = mat_trace(power)
+            out[k] += tr if d % 2 == 0 else -tr
+    return out
 
 
 def twisted_zeta(
@@ -319,14 +315,14 @@ def twisted_zeta(
 
     Odd chain degrees multiply the numerator, even ones the denominator, so
     the logarithmic series reproduces the twisted traces iterate by iterate.
+    The blocks' entries pick the arithmetic: integers for permutation
+    representations, complex floats for unitary ones.
     """
-    blocks = _degree_blocks(f, rep, extra_matrices)
-    exact = rep.is_exact()
     num = den = (1,)
-    for d, b in enumerate(blocks):
-        p = det_one_minus_t(b, exact)
+    for d, b in enumerate(_degree_blocks(f, rep, extra_matrices)):
+        p = det_one_minus_t(b)
         if d % 2 == 1:
             num = poly_mul(num, p)
         else:
             den = poly_mul(den, p)
-    return RationalFunction.from_parts(num, den, exact)
+    return RationalFunction.from_parts(num, den)

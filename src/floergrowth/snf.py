@@ -1,6 +1,10 @@
 """Smith normal form of an integer matrix, with unimodular transforms.
 
-Everything runs on Python ints, so there is no overflow to worry about.
+One pivot loop per diagonal position: the smallest nonzero entry left is
+moved to the pivot and clears its row and column by Euclidean division until
+no remainder is left, and an entry below and to the right that the pivot
+does not divide is added into the pivot row, whose next pass leaves a smaller
+remainder.  Everything runs on Python ints, so there is no overflow.
 """
 
 from __future__ import annotations
@@ -13,101 +17,47 @@ def _identity(n):
 def smith_normal_form(mat):
     """Diagonalize an integer matrix over Z.
 
-    Returns ``(diag, p, q)`` as tuples-of-tuples with ``p @ mat @ q = diag``,
-    ``p`` and ``q`` products of elementary (unimodular) operations, and the
-    diagonal nonnegative with each entry dividing the next.
+    Returns ``(diag, p, q)``: ``diag`` is the tuple of the min(rows, cols)
+    diagonal entries of ``d = p @ mat @ q``, nonnegative and each dividing
+    the next, and ``p``, ``q`` are unimodular tuples-of-tuples.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     a = [[int(x) for x in row] for row in mat]
     if any(len(row) != cols for row in a):
         raise ValueError("ragged matrix")
-    p = _identity(rows)
-    q = _identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
+    p, q = _identity(rows), _identity(cols)
 
     def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        p[dst] = [x + c * y for x, y in zip(p[dst], p[src])]
+        for m in (a, p):
+            m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
 
     def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in q:
-            row[dst] += c * row[src]
+        for m in (a, q):
+            for row in m:
+                row[dst] += c * row[src]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        p[i] = [-x for x in p[i]]
-
-    def clear_position(t):
-        # Euclidean passes until row t and column t vanish off the pivot.
+    for t in range(min(rows, cols)):
         while True:
-            # Pull the smallest nonzero magnitude of the work area into (t, t)
-            # so quotients shrink fast.
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return False
-            if best != (t, t):
-                swap_rows(t, best[0])
-                swap_cols(t, best[1])
-            dirty = False
+            live = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x]
+            if not live:
+                break
+            _, r, c = min(live)
+            a[t], a[r], p[t], p[r] = a[r], a[t], p[r], p[t]
+            for m in (a, q):
+                for row in m:
+                    row[t], row[c] = row[c], row[t]
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        dirty = True
+                add_row(t, i, -(a[i][t] // a[t][t]))
             for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        dirty = True
-            if not dirty:
-                return True
-
-    t = 0
-    while t < min(rows, cols):
-        if not clear_position(t):
-            break
-        t += 1
-
-    # Enforce the divisibility chain d1 | d2 | ... by folding offenders back in.
-    k = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj != 0 and di != 0 and dj % di != 0:
-                add_col(i + 1, i, 1)
-                clear_position(i)
-                changed = True
-            elif di == 0 and dj != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
-                changed = True
-
-    for i in range(k):
-        if a[i][i] < 0:
-            negate_row(i)
-
-    to_t = lambda m: tuple(tuple(row) for row in m)
-    return to_t(a), to_t(p), to_t(q)
-
-
-def diagonal(d):
-    """The diagonal entries of a (rectangular) SNF result."""
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
+                add_col(t, j, -(a[t][j] // a[t][t]))
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :]):
+                continue
+            bad = [i for i in range(t + 1, rows) if any(x % a[t][t] for x in a[i][t + 1 :])]
+            if not bad:
+                break
+            add_row(bad[0], t, 1)
+        if a[t][t] < 0:
+            a[t], p[t] = [-x for x in a[t]], [-x for x in p[t]]
+    diag = tuple(a[t][t] for t in range(min(rows, cols)))
+    return diag, tuple(map(tuple, p)), tuple(map(tuple, q))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .freegroup import IntMatrix, mat_identity, mat_pow, mat_sub
 from .ratfunc import CrossCheckError
-from .snf import diagonal, smith_normal_form
+from .snf import smith_normal_form
 from .zetafns import _check_2x2, is_hyperbolic
 
 ENUMERATION_LIMIT = 10_000
@@ -89,8 +89,7 @@ def fixed_point_count(a: IntMatrix, n: int) -> int:
     det = _det2(m)
     if det == 0:
         raise ValueError(f"A^{n} - I is singular: fixed points are not isolated")
-    d, p, _ = smith_normal_form(m)
-    d1, d2 = diagonal(d)
+    (d1, d2), p, _ = smith_normal_form(m)
     by_smith = d1 * d2
     if by_smith != abs(det):
         raise CrossCheckError("Smith diagonal product disagrees with the determinant")

@@ -187,7 +187,7 @@ def weil_zeta_torus(a: IntMatrix) -> RationalFunction:
     tau, delta = _trace_det(a)
     num = (Fraction(1), Fraction(-tau), Fraction(delta))
     den = (Fraction(1), Fraction(-1 - delta), Fraction(delta))
-    return RationalFunction.from_parts(num, den, exact=True)
+    return RationalFunction.from_parts(num, den)
 
 
 def torus_symplectic_zeta(a: IntMatrix) -> RationalFunction:

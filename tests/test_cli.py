@@ -377,6 +377,8 @@ MALFORMED_FILES = [
         ("dims-string", _pa(dims=[1, "2", 3])),
         ("components-missing", {"genus": 2}),
         ("component-kind-missing", {"components": [{"dim": 2}]}),
+        ("dim-bool", {"components": [{"kind": "fixed-a", "dim": True}]}),
+        ("component-kind-unknown", {"components": [{"kind": "fixed-q", "dim": 1}]}),
     ]
     for cmd in _CLASS_COMMANDS
 ] + [
@@ -391,6 +393,11 @@ MALFORMED_FILES = [
     pytest.param(_ZETA_REP, _rep1(dim="1"), id="rep-dim-string"),
     pytest.param(_ZETA_REP, _rep1(dim=1.0), id="rep-dim-float"),
     pytest.param(_ZETA_REP, {"kind": "permutation", "a": [[[1]], [[1]]], "z": [[1]]}, id="rep-dim-missing"),
+    pytest.param(_ZETA_REP, _rep1(dim=True), id="rep-dim-bool"),
+    pytest.param(_ZETA_REP, _rep1(a=[[[True]], [[1]]]), id="rep-cell-bool"),
+    pytest.param(["fox", "--map"], {"rank": True, "images": ["a"]}, id="map-rank-bool"),
+    pytest.param(["fox", "--map"], {"rank": 0, "images": []}, id="map-rank-zero"),
+    pytest.param(["fox", "--map"], {"rank": 2, "images": ["a b"]}, id="map-images-short"),
     pytest.param(["fox", "--map"], {"rank": 2.7, "images": ["a b", "a"]}, id="map-rank-fraction"),
     pytest.param(["fox", "--map"], {"rank": "2", "images": ["a b", "a"]}, id="map-rank-string"),
     pytest.param(["fox", "--map"], "a b", id="map-json-string"),

@@ -141,13 +141,6 @@ def test_full_report_golden(golden):
     }
 
 
-def test_full_report_with_supplied_dims(golden):
-    dims = [round(PHI**n) for n in range(1, 21)]
-    report = full_report(golden, dims=dims)
-    assert report.window == (11, 20)
-    assert abs(report.sequence_estimate - PHI) / PHI < 0.02
-
-
 def test_interval_uppers_sit_inside_bounds(corpus):
     """Finite-window proxies of certified norms against the asymptotic
     sandwich, with 5% slack on the lower side for the window truncation."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floergrowth.foxcalc import RingElem, RingMatrix, jacobian
+from floergrowth.foxcalc import RingElem, RingMatrix, chain_matrices, jacobian
 from floergrowth.freegroup import Endomorphism, Word, mat_pow, mat_trace
 from floergrowth.groupring import reidemeister_interval, reidemeister_trace
 from floergrowth.reptheory import (
@@ -149,15 +149,13 @@ def test_twisted_lefschetz_trivial_is_classical(corpus):
     endos = list(corpus.values()) + [random_endo(rng, rng.randint(1, 3), 4) for _ in range(5)]
     for f in endos:
         rep = trivial_representation(f.rank)
-        for n in range(1, 7):
-            a_n = mat_pow(f.abelianize(), n)
-            assert twisted_lefschetz(f, rep, n) == 1 - mat_trace(a_n)
+        want = [1 - mat_trace(mat_pow(f.abelianize(), n)) for n in range(1, 7)]
+        assert twisted_lefschetz(f, rep, 6) == want
 
 
 def test_twisted_lefschetz_mod3(doubling):
     rep = abelian_quotient_rep(doubling, 3)
-    for n in range(1, 8):
-        assert twisted_lefschetz(doubling, rep, n) == 1 - 2**n
+    assert twisted_lefschetz(doubling, rep, 7) == [1 - 2**n for n in range(1, 8)]
     with pytest.raises(ValueError):
         twisted_lefschetz(doubling, rep, 0)
 
@@ -192,8 +190,7 @@ def test_unitary_scalar_rep(doubling):
     )
     ok, residual = validate_rep(rep, doubling)
     assert ok and residual <= 1e-12
-    for n in range(1, 6):
-        got = twisted_lefschetz(doubling, rep, n)
+    for n, got in enumerate(twisted_lefschetz(doubling, rep, 5), 1):
         assert abs(got - ((-1) ** n - (-2) ** n)) < 1e-9
     zeta = twisted_zeta(doubling, rep)
     assert not zeta.exact
@@ -207,8 +204,7 @@ def test_zeta_series_matches_lefschetz(corpus):
     for name, f in corpus.items():
         for rep in (trivial_representation(f.rank), abelian_quotient_rep(f, moduli[name])):
             zeta = twisted_zeta(f, rep)
-            lefs = [twisted_lefschetz(f, rep, n) for n in range(1, order + 1)]
-            want = exp_series(lefs, order, exact=True)
+            want = exp_series(twisted_lefschetz(f, rep, order), order, exact=True)
             got = zeta.series(order)
             assert list(got) == want
 
@@ -221,8 +217,7 @@ def test_zeta_series_matches_lefschetz_unitary(doubling):
     ok, _ = validate_rep(rep, doubling)
     assert ok
     zeta = twisted_zeta(doubling, rep)
-    lefs = [twisted_lefschetz(doubling, rep, n) for n in range(1, order + 1)]
-    want = exp_series(lefs, order, exact=False)
+    want = exp_series(twisted_lefschetz(doubling, rep, order), order, exact=False)
     got = zeta.series(order)
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-8
 
@@ -233,12 +228,11 @@ def test_lefschetz_bounded_by_dim_times_interval(corpus):
     moduli = {"identity2": 2, "doubling": 3, "golden": 2, "swap": 2}
     for name, f in corpus.items():
         for rep in (trivial_representation(f.rank), abelian_quotient_rep(f, moduli[name])):
-            for n in range(1, 5):
-                interval = reidemeister_interval(f, n)
-                assert abs(twisted_lefschetz(f, rep, n)) <= rep.dim * interval.upper
+            for n, lef in enumerate(twisted_lefschetz(f, rep, 4), 1):
+                assert abs(lef) <= rep.dim * reidemeister_interval(f, n).upper
     ident2 = corpus["identity2"]
     reg = abelian_quotient_rep(ident2, 2)
-    assert abs(twisted_lefschetz(ident2, reg, 1)) == 4
+    assert abs(twisted_lefschetz(ident2, reg, 1)[0]) == 4
     assert reidemeister_interval(ident2, 1).upper == 1
 
 
@@ -275,7 +269,7 @@ def test_twisted_zeta_with_extra_matrix(doubling):
     rep = trivial_representation(1)
     order = 10
     zeta = twisted_zeta(doubling, rep, extra_matrices=(extra,))
-    lefs = [twisted_lefschetz(doubling, rep, n, extra_matrices=(extra,)) for n in range(1, order + 1)]
+    lefs = twisted_lefschetz(doubling, rep, order, extra_matrices=(extra,))
     assert list(zeta.series(order)) == exp_series(lefs, order, exact=True)
     # degree 2 is even, so the new block multiplies the denominator
     assert zeta.denominator != twisted_zeta(doubling, rep).denominator
@@ -313,7 +307,7 @@ def test_zeta_log_derivative_is_twisted_lefschetz(moves, modulus):
         f = g.compose(f)
     rep = abelian_quotient_rep(f, modulus)
     series = twisted_zeta(f, rep).series(8)
-    assert log_derivative(series) == [twisted_lefschetz(f, rep, n) for n in range(1, 9)]
+    assert log_derivative(series) == twisted_lefschetz(f, rep, 8)
 
 
 CORPUS_MAPS = [
@@ -340,4 +334,47 @@ def test_trace_through_representation_is_twisted_lefschetz(f, modulus, n):
     for g, c in reidemeister_trace(f, n).body.terms:
         p = _compose(zn, rep.word_matrix(g))
         pushed += c * sum(1 for r, image in enumerate(p) if image == r)
-    assert pushed == twisted_lefschetz(f, rep, n)
+    assert pushed == twisted_lefschetz(f, rep, n)[n - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from(CORPUS_MAPS), endomorphisms(2, 4)),
+    st.sampled_from([2, 3]),
+    st.integers(1, 6),
+)
+def test_twisted_lefschetz_is_alternating_trace_of_block_powers(f, modulus, n_max):
+    """The one power pass gives, at every n, the alternating sum of the
+    traces of the n-th powers of the twisted chain blocks."""
+    try:
+        rep = abelian_quotient_rep(f, modulus)
+    except ValueError:
+        assume(False)
+    blocks = [twist_matrix(m, rep) for m in chain_matrices(f)]
+    want = [
+        sum((-1) ** d * mat_trace(mat_pow(b, n)) for d, b in enumerate(blocks))
+        for n in range(1, n_max + 1)
+    ]
+    assert twisted_lefschetz(f, rep, n_max) == want
+
+
+def test_twisted_lefschetz_unitary_matches_matrix_power():
+    """A unitary representation runs the same sparse power pass; numpy's
+    matrix_power is the reference.  The representation is cat's mod-3
+    permutation representation with z scaled by the phase 0.6 + 0.8i."""
+    f = CORPUS_MAPS[1]
+    perm = abelian_quotient_rep(f, 3)
+    as_matrix = lambda p: np.array(dense(p), dtype=complex)
+    rep = Representation(
+        perm.dim,
+        "unitary",
+        tuple(as_matrix(g) for g in perm.gen_images),
+        (0.6 + 0.8j) * as_matrix(perm.z_image),
+    )
+    assert validate_rep(rep, f)[0]
+    blocks = [twist_matrix(m, rep) for m in chain_matrices(f)]
+    for n, got in enumerate(twisted_lefschetz(f, rep, 8), 1):
+        want = sum(
+            (-1) ** d * np.trace(np.linalg.matrix_power(b, n)) for d, b in enumerate(blocks)
+        )
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))

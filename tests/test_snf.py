@@ -2,7 +2,10 @@
 
 import random
 
-from floergrowth.snf import diagonal, smith_normal_form
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from floergrowth.snf import smith_normal_form
 
 
 def mat_mul(a, b):
@@ -25,14 +28,11 @@ def det(m):
 
 def verify(mat):
     """Check the SNF contract on one matrix and return the diagonal entries."""
-    d_mat, p, q = smith_normal_form(mat)
-    assert mat_mul(mat_mul(p, mat), q) == d_mat
+    d, p, q = smith_normal_form(mat)
     rows, cols = len(mat), len(mat[0])
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert d_mat[i][j] == 0
-    d = diagonal(d_mat)
+    assert type(d) is tuple and len(d) == min(rows, cols)
+    d_mat = tuple(tuple(d[i] if i == j else 0 for j in range(cols)) for i in range(rows))
+    assert mat_mul(mat_mul(p, mat), q) == d_mat
     assert all(x >= 0 for x in d)
     for a, b in zip(d, d[1:]):
         if a == 0:
@@ -56,11 +56,6 @@ def test_small_cases():
     assert verify([[2, 0, 0], [0, 3, 0]]) == (1, 6)
 
 
-def test_diagonal_helper():
-    assert diagonal(((2, 0), (0, 3))) == (2, 3)
-    assert diagonal(((5, 0, 0),)) == (5,)
-
-
 def test_random_matrices():
     rng = random.Random(127)
     for _ in range(150):
@@ -81,3 +76,26 @@ def test_determinant_is_preserved_up_to_sign():
         for x in d:
             prod *= x
         assert prod == abs(det(mat))
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Integer matrices up to 5x5, some of whose rows and columns are zero."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    mat = [[draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        mat[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        for row in mat:
+            row[j] = 0
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_zero_lines())
+def test_contract_with_zero_rows_and_columns(mat):
+    d = verify(mat)
+    nonzero = sum(1 for x in d if x)
+    assert nonzero <= min(
+        sum(1 for row in mat if any(row)), sum(1 for col in zip(*mat) if any(col))
+    )
