@@ -123,15 +123,18 @@ def _load_rep(args, f: Endomorphism, extras) -> Representation:
         data = _load_json(args.rep)
         with _built_from(args.rep):
             check_block_size(f, as_integer(data["dim"], "dim"), extras)
-            rep = Representation.from_json(data)
-    elif getattr(args, "modulus", None):
+            return _intertwining(Representation.from_json(data), f)
+    if getattr(args, "modulus", None) is not None:
         check_block_size(f, args.modulus ** f.rank, extras)
-        rep = abelian_quotient_rep(f, args.modulus)
-    else:
-        return trivial_representation(f.rank)
+        return _intertwining(abelian_quotient_rep(f, args.modulus), f)
+    return trivial_representation(f.rank)
+
+
+def _intertwining(rep: Representation, f: Endomorphism) -> Representation:
+    """The representation, once validate_rep accepts it for the map."""
     ok, residual = validate_rep(rep, f)
     if not ok:
-        raise CLIError(
+        raise ValueError(
             f"representation does not intertwine the map (max residual {residual:.3g})"
         )
     return rep

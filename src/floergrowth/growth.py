@@ -37,8 +37,8 @@ def growth_estimate(seq: Sequence[float]) -> GrowthEstimate:
     terms = [float(x) for x in seq]
     if len(terms) < MIN_GROWTH_TERMS:
         raise ValueError(f"need at least {MIN_GROWTH_TERMS} terms to estimate growth")
-    if any(x < 0 for x in terms):
-        raise ValueError("sequence terms must be nonnegative")
+    if not all(0 <= x < math.inf for x in terms):  # NaN fails too
+        raise ValueError("sequence terms must be finite and nonnegative")
     n = len(terms)
     start = n - math.ceil(n / 2) + 1  # 1-based iterate index
     best = max(terms[k - 1] ** (1.0 / k) for k in range(start, n + 1))
@@ -170,10 +170,12 @@ class GrowthReport:
     window: tuple | None = None
 
     def to_json(self) -> dict:
+        """JSON fields; an unbounded (infinite) upper renders as null."""
+        upper = lambda x: x if math.isfinite(x) else None
         return {
             "lower_bound": self.lower_bound,
-            "upper_bound_spectral": self.upper_bound_spectral,
-            "upper_bound_norm": self.upper_bound_norm,
+            "upper_bound_spectral": upper(self.upper_bound_spectral),
+            "upper_bound_norm": upper(self.upper_bound_norm),
             "sequence_estimate": self.sequence_estimate,
             "entropy_log": dict(self.entropy_log),
             "provenance": dict(self.provenance),

@@ -1,19 +1,21 @@
 """Finite-dimensional representations of the mapping-torus group and the
 twisted Lefschetz zeta function.
 
-Two kinds are supported.  Permutation representations store each
-permutation as an index tuple p (row r of the 0/1 matrix has its 1 in
-column p[r]), so products of letters cost O(dim) each, and produce exact
-rational zeta data; unitary representations carry complex float matrices
-(checked unitary to 1e-8) and produce float data.  A representation is valid
-when conjugating each generator matrix by the z matrix reproduces the matrix
-of the generator's image.  numpy is imported only on the unitary lane.
+Generator and z images are stored as sparse rows of (column, value) pairs;
+each letter's matrix and its inverse, the conjugate transpose, are
+tabulated at construction.  The two kinds differ only as input formats:
+permutation images are index tuples p (row r of the 0/1 matrix has its 1 in
+column p[r]) and give integer entries, unitary images are complex matrices
+(checked unitary to 1e-8) and give complex ones.  One code path serves
+both, and the entries pick the arithmetic.  A representation is valid when
+conjugating each generator matrix by the z matrix reproduces the matrix of
+the generator's image.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .foxcalc import RingMatrix, chain_matrices
@@ -31,7 +33,8 @@ PERMUTATION = "permutation"
 UNITARY = "unitary"
 
 
-def _permutation(p, dim: int) -> tuple[int, ...]:
+def _permutation(p, dim: int) -> tuple:
+    """Sparse rows of the 0/1 matrix of an index tuple."""
     error = "a permutation image must be an index tuple listing 0..dim-1 once each"
     try:
         perm = tuple(as_integer(x, "a permutation image entry") for x in p)
@@ -39,72 +42,84 @@ def _permutation(p, dim: int) -> tuple[int, ...]:
         raise ValueError(error) from None
     if sorted(perm) != list(range(dim)):
         raise ValueError(error)
-    return perm
+    return tuple(((j, 1),) for j in perm)
 
 
-def _compose(p, q) -> tuple[int, ...]:
-    """Index tuple of the matrix product P·Q."""
-    return tuple([q[i] for i in p])
-
-
-def _inverse(p) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
+def _unitary(m, dim: int) -> tuple:
+    """Sparse rows of a square complex matrix."""
+    rows = [[complex(x) for x in row] for row in m]
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        raise ValueError("matrix shape mismatch")
+    # the entries of a unitary matrix lie in the unit disc; NaN fails here too
+    bound = 1 + UNITARY_TOL
+    if not all(abs(x.real) <= bound and abs(x.imag) <= bound for row in rows for x in row):
+        raise ValueError("unitary matrix entries must be finite, with parts in [-1, 1]")
+    return tuple(map(tuple, sparse_rows(rows)))
 
 
 def _matrix_to_permutation(m) -> tuple[int, ...]:
-    error = "permutation representation needs 0/1 permutation matrices"
-    out = []
-    for row in m:
-        ints = [as_integer(x, "a permutation matrix cell") for x in row]
-        if len(ints) != len(m) or any(x not in (0, 1) for x in ints) or sum(ints) != 1:
-            raise ValueError(error)
-        out.append(ints.index(1))
-    if sorted(out) != list(range(len(m))):
-        raise ValueError(error)
-    return tuple(out)
+    """Index tuple of a 0/1 matrix with one 1 per row; ``_permutation``
+    checks that the columns form a permutation."""
+    rows = [[as_integer(x, "a permutation matrix cell") for x in row] for row in m]
+    if any(len(row) != len(m) or sorted(row) != [0] * (len(m) - 1) + [1] for row in rows):
+        raise ValueError("permutation representation needs 0/1 permutation matrices")
+    return tuple(row.index(1) for row in rows)
 
 
-def _permutation_to_matrix(p) -> list[list[int]]:
-    return [[1 if j == p[i] else 0 for j in range(len(p))] for i in range(len(p))]
+def _complex_cell(x) -> complex:
+    if not (isinstance(x, list) and len(x) == 2 and all(type(v) in (int, float) for v in x)):
+        raise ValueError(f"a unitary matrix cell must be a pair [re, im] of numbers, got {x!r}")
+    return complex(*x)
+
+
+def _adjoint(rows, dim: int) -> tuple:
+    """Conjugate transpose in sparse rows: the inverse of a unitary matrix."""
+    out = [[] for _ in range(dim)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[j].append((i, x.conjugate()))
+    return tuple(map(tuple, out))
+
+
+def _max_gap(a, b) -> float:
+    """Largest entrywise distance between two dense matrices."""
+    return max(float(abs(x - y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Images of the fiber generators and of z.
-
-    Permutation images are index tuples (see the module docstring); unitary
-    images are complex matrices.
-    """
+    """Images of the fiber generators and of z, as sparse rows (see the
+    module docstring for the input formats)."""
 
     dim: int
     kind: str
     gen_images: tuple
-    z_image: object
+    z_image: tuple
+    # letter -> sparse rows of its matrix, for both signs of every generator
+    _letters: dict = field(init=False, repr=False, compare=False)
+    # the dense identity matrix, in the entries' arithmetic
+    _eye: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (PERMUTATION, UNITARY):
             raise ValueError(f"unknown representation kind {self.kind!r}")
-        if self.kind == PERMUTATION:
-            gens = tuple(_permutation(g, self.dim) for g in self.gen_images)
-            z = _permutation(self.z_image, self.dim)
-            object.__setattr__(self, "gen_images", gens)
-            object.__setattr__(self, "z_image", z)
-        else:
-            import numpy as np
-
-            gens = tuple(np.asarray(g, dtype=complex) for g in self.gen_images)
-            z = np.asarray(self.z_image, dtype=complex)
-            eye = np.eye(self.dim)
-            for m in (*gens, z):
-                if m.shape != (self.dim, self.dim):
-                    raise ValueError("matrix shape mismatch")
-                if np.max(np.abs(m.conj().T @ m - eye)) > UNITARY_TOL:
-                    raise ValueError("matrix is not unitary within tolerance")
-            object.__setattr__(self, "gen_images", gens)
-            object.__setattr__(self, "z_image", z)
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        read, one = (_permutation, 1) if self.is_exact() else (_unitary, complex(1))
+        gens = tuple(read(g, self.dim) for g in self.gen_images)
+        z = read(self.z_image, self.dim)
+        eye = tuple(tuple(one * (i == j) for j in range(self.dim)) for i in range(self.dim))
+        for m in (*gens, z):
+            product = sparse_mat_mul(_adjoint(m, self.dim), sparse_mat_mul(m, eye))
+            if _max_gap(product, eye) > UNITARY_TOL:
+                raise ValueError("matrix is not unitary within tolerance")
+        letters = {}
+        for i, g in enumerate(gens, 1):
+            letters[i], letters[-i] = g, _adjoint(g, self.dim)
+        object.__setattr__(self, "gen_images", gens)
+        object.__setattr__(self, "z_image", z)
+        object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_eye", eye)
 
     @property
     def rank(self) -> int:
@@ -113,38 +128,12 @@ class Representation:
     def is_exact(self) -> bool:
         return self.kind == PERMUTATION
 
-    def _inv(self, m):
-        if self.kind == PERMUTATION:
-            return _inverse(m)
-        return m.conj().T
-
-    def letter_matrix(self, letter: int):
-        g = self.gen_images[abs(letter) - 1]
-        return g if letter > 0 else self._inv(g)
-
     def word_matrix(self, w: Word):
-        """Image of a fiber word: an index tuple or a complex matrix."""
-        if self.kind == PERMUTATION:
-            acc = tuple(range(self.dim))
-            for x in w.letters:
-                acc = _compose(acc, self.letter_matrix(x))
-            return acc
-        import numpy as np
-
-        acc = np.eye(self.dim, dtype=complex)
-        for x in w.letters:
-            acc = acc @ self.letter_matrix(x)
+        """Dense image of a fiber word, multiplied in from the right."""
+        acc = self._eye
+        for x in reversed(w.letters):
+            acc = sparse_mat_mul(self._letters[x], acc)
         return acc
-
-    def z_power(self, k: int):
-        if self.kind == PERMUTATION:
-            acc = tuple(range(self.dim))
-            for _ in range(k):
-                acc = _compose(acc, self.z_image)
-            return acc
-        import numpy as np
-
-        return np.linalg.matrix_power(self.z_image, k)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -153,12 +142,10 @@ class Representation:
         kind = data["kind"]
         if kind == PERMUTATION:
             decode = _matrix_to_permutation
+        elif kind == UNITARY:
+            decode = lambda m: [[_complex_cell(x) for x in row] for row in m]
         else:
-            import numpy as np
-
-            decode = lambda m: np.array(
-                [[complex(x[0], x[1]) for x in row] for row in m], dtype=complex
-            )
+            raise ValueError(f"unknown representation kind {kind!r}")
         return cls(
             dim=as_integer(data["dim"], "dim"),
             kind=kind,
@@ -167,15 +154,16 @@ class Representation:
         )
 
     def to_json(self) -> dict:
-        if self.kind == PERMUTATION:
-            encode = _permutation_to_matrix
-        else:
-            encode = lambda m: [[[float(x.real), float(x.imag)] for x in row] for row in m]
+        zero = 0 * self._eye[0][0]
+        cell = (lambda x: x) if self.is_exact() else (lambda x: [x.real, x.imag])
+        matrix = lambda rows: [
+            [cell(r.get(j, zero)) for j in range(self.dim)] for r in map(dict, rows)
+        ]
         return {
             "dim": self.dim,
             "kind": self.kind,
-            "a": [encode(m) for m in self.gen_images],
-            "z": encode(self.z_image),
+            "a": [matrix(m) for m in self.gen_images],
+            "z": matrix(self.z_image),
         }
 
 
@@ -212,56 +200,43 @@ def abelian_quotient_rep(f: Endomorphism, modulus: int) -> Representation:
 def validate_rep(rep: Representation, f: Endomorphism):
     """Check that z-conjugation realizes the endomorphism.
 
-    Returns (ok, max_residual); permutation representations are compared
-    exactly, unitary ones within ``UNITARY_TOL``.
+    Returns (ok, max_residual): ok when the largest entrywise gap between
+    z^-1·rho(a_i)·z and rho(f(a_i)) is at most ``UNITARY_TOL``, which for
+    integer entries means exactly 0.
     """
     if rep.rank != f.rank:
         raise ValueError("rank mismatch between representation and endomorphism")
-    z_inv = rep._inv(rep.z_image)
+    z_inv = _adjoint(rep.z_image, rep.dim)
+    z = sparse_mat_mul(rep.z_image, rep._eye)
     worst = 0.0
-    for i in range(f.rank):
-        lhs_gen = rep.gen_images[i]
-        target = rep.word_matrix(f.images[i])
-        if rep.kind == PERMUTATION:
-            conj = _compose(_compose(z_inv, lhs_gen), rep.z_image)
-            residual = 0 if conj == target else 1
-        else:
-            conj = z_inv @ lhs_gen @ rep.z_image
-            residual = float(abs(conj - target).max())
-        worst = max(worst, float(residual))
-    return worst <= (0 if rep.kind == PERMUTATION else UNITARY_TOL), worst
+    for gen, image in zip(rep.gen_images, f.images):
+        conj = sparse_mat_mul(z_inv, sparse_mat_mul(gen, z))
+        worst = max(worst, _max_gap(conj, rep.word_matrix(image)))
+    return worst <= UNITARY_TOL, worst
 
 
 def twist_matrix(mat: RingMatrix, rep: Representation):
     """Block matrix of a chain matrix twisted at z-degree 1.
 
-    Block (i, j) is z_image times the representation of entry (i, j); sizes
-    multiply, exactness follows the representation kind.
+    Block (i, j) is z_image times the representation of entry (i, j), its
+    terms summed in canonical order so that equal entries give the same
+    float sum.  Sizes multiply; the entries' arithmetic is the
+    representation's.
     """
     if mat.nrows != mat.ncols:
         raise ValueError("twist_matrix needs a square matrix")
-    k, size, z = rep.dim, mat.nrows, rep.z_image
-    if rep.kind == PERMUTATION:
-        out = [[0] * (size * k) for _ in range(size * k)]
-        for i in range(size):
-            for j in range(size):
-                for w, c in mat.entries[i][j].terms:
-                    # row r of z times the word's matrix is the word's row z[r]
-                    cols = _compose(z, rep.word_matrix(w))
-                    for r in range(k):
-                        out[i * k + r][j * k + cols[r]] += c
-        return tuple(tuple(row) for row in out)
-    import numpy as np
-
-    out = np.zeros((size * k, size * k), dtype=complex)
+    k, size = rep.dim, mat.nrows
+    zero = 0 * rep._eye[0][0]
+    out = [[] for _ in range(size * k)]
     for i in range(size):
         for j in range(size):
-            acc = np.zeros((k, k), dtype=complex)
-            # canonical order, so equal entries give the same float sum
+            acc = [[zero] * k for _ in range(k)]
             for w, c in mat.entries[i][j].sorted_terms():
-                acc += c * rep.word_matrix(w)
-            out[i * k : (i + 1) * k, j * k : (j + 1) * k] = z @ acc
-    return out
+                image = rep.word_matrix(w)
+                acc = [[x + c * y for x, y in zip(*rows)] for rows in zip(acc, image)]
+            for r, row in enumerate(sparse_mat_mul(rep.z_image, acc)):
+                out[i * k + r].extend(row)
+    return tuple(map(tuple, out))
 
 
 def check_block_size(f: Endomorphism, dim: int, extra_matrices: Sequence[RingMatrix] = ()):
@@ -296,8 +271,8 @@ def twisted_lefschetz(
         raise ValueError("n must be >= 1")
     out = [0] * n
     for d, b in enumerate(_degree_blocks(f, rep, extra_matrices)):
-        power = b if rep.is_exact() else [[complex(x) for x in row] for row in b]
-        rows = sparse_rows(power)
+        power = b
+        rows = sparse_rows(b)
         for k in range(n):
             if k:
                 power = sparse_mat_mul(rows, power)

@@ -20,11 +20,15 @@ PHI = (1 + math.sqrt(5)) / 2
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "input-formats.md"
 
 
+def _not_json(constant):
+    raise AssertionError(f"{constant} is not valid JSON (RFC 8259)")
+
+
 def payload_of(capsys, argv, expect=EXIT_OK):
     code = run(argv)
     captured = capsys.readouterr()
     assert code == expect, f"argv={argv} stderr={captured.err!r}"
-    return json.loads(captured.out)
+    return json.loads(captured.out, parse_constant=_not_json)
 
 
 def test_fox_golden(capsys):
@@ -174,6 +178,9 @@ def test_growth_command(capsys):
     assert payload["estimate"] == 2.0
     assert payload["window_start"] == 4
     assert payload["n_terms"] == 6
+    for seq in ("1,2,inf", "1,2,nan", "1,-inf,4"):
+        assert run(["growth", "--seq", seq]) == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_periodic_zeta_command(capsys):
@@ -241,6 +248,17 @@ def test_assemble_command(capsys, tmp_path):
 
     assert run(["assemble", "--spec", str(spec), "--iterates", "5"]) == EXIT_INPUT
     assert "stops at iterate 4" in capsys.readouterr().err
+
+
+def test_assemble_report_without_dilatation_has_null_uppers(capsys, tmp_path):
+    """With no dilatation the uppers are unbounded; they render as null, not
+    as the invalid JSON token Infinity."""
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"components": [{"kind": "pseudo-anosov", "dims": [1, 3, 4, 7]}]}))
+    report = payload_of(capsys, ["assemble", "--class", str(spec), "--report"])["report"]
+    assert report["lower_bound"] == 1.0
+    assert report["upper_bound_spectral"] is None and report["upper_bound_norm"] is None
+    assert "upper_bound" not in report["entropy_log"]
 
 
 def test_docs_class_example_assembles(capsys, tmp_path):
@@ -346,6 +364,27 @@ def test_bad_input_reporting(capsys, tmp_path):
         assert run([*argv, "--endo", str(oblong)]) == EXIT_INPUT
         assert "extra matrices must be square" in capsys.readouterr().err
 
+    # --modulus 0 is refused, not read as "no modulus"
+    for command in ("zeta-twisted", "bounds"):
+        assert run([command, "--images", "a b, a", "--modulus", "0"]) == EXIT_INPUT
+        assert "modulus must be >= 2" in capsys.readouterr().err
+
+
+def test_rep_file_named_in_rank_and_intertwining_errors(capsys, tmp_path):
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"dim": 1, "kind": "permutation", "a": [[[1]]], "z": [[1]]}))
+    # golden (a -> ab, b -> a) with a swapping two points and b, z fixing them
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps({
+        "dim": 2, "kind": "permutation",
+        "a": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]], "z": [[1, 0], [0, 1]],
+    }))
+    for command in ("zeta-twisted", "bounds"):
+        for path, message in ((short, "rank mismatch"), (loose, "does not intertwine the map")):
+            assert run([command, "--images", "a b, a", "--rep", str(path)]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert f"error: {path}: " in err and message in err, err
+
 
 def _pa(**fields):
     return {"components": [{"kind": "pseudo-anosov", "dims": [1, 2, 3], **fields}]}
@@ -390,6 +429,28 @@ MALFORMED_FILES = [
     ),
     pytest.param(_ZETA_REP, _rep1(a=[[[1.7]], [[1]]]), id="rep-entry-fraction"),
     pytest.param(_ZETA_REP, _rep1(a=[[["1"]], [[1]]]), id="rep-entry-string"),
+    pytest.param(
+        _ZETA_REP,
+        {"dim": 1, "kind": "unitary", "a": [_UNITARY_1, [[[1.0]]]], "z": _UNITARY_1},
+        id="rep-unitary-cell-short",
+    ),
+    pytest.param(
+        _ZETA_REP,
+        {"dim": 1, "kind": "unitary", "a": [_UNITARY_1, [[[1.0, 0.0, 5]]]], "z": _UNITARY_1},
+        id="rep-unitary-cell-long",
+    ),
+    pytest.param(
+        _ZETA_REP,
+        {"dim": 1, "kind": "unitary", "a": [_UNITARY_1, [[[float("nan"), 0.0]]]], "z": _UNITARY_1},
+        id="rep-unitary-cell-nan",
+    ),
+    pytest.param(
+        _ZETA_REP,
+        {"dim": 1, "kind": "unitary", "a": [_UNITARY_1, [[[True, False]]]], "z": _UNITARY_1},
+        id="rep-unitary-cell-bool",
+    ),
+    pytest.param(_ZETA_REP, {"dim": 0, "kind": "permutation", "a": [[], []], "z": []}, id="rep-dim-zero"),
+    pytest.param(_ZETA_REP, {**_rep1(), "kind": "orthogonal"}, id="rep-kind-unknown"),
     pytest.param(_ZETA_REP, _rep1(dim="1"), id="rep-dim-string"),
     pytest.param(_ZETA_REP, _rep1(dim=1.0), id="rep-dim-float"),
     pytest.param(_ZETA_REP, {"kind": "permutation", "a": [[[1]], [[1]]], "z": [[1]]}, id="rep-dim-missing"),
@@ -560,16 +621,37 @@ def test_verbose_shows_library_log(capsys):
     assert logging.getLogger("floergrowth").handlers == []
 
 
-# numpy serves only the float lane: root finding, the power-iteration
-# cross-check and unitary representations.  A subprocess, because pytest
-# itself imports numpy.
+# numpy serves only root finding and the power-iteration cross-check of
+# spectral radii.  Representations of both kinds are built, validated and
+# twisted, and their Lefschetz numbers taken, without it.  A subprocess,
+# because pytest itself imports numpy.
 _IMPORT_GUARD = """
 import contextlib, io, json, sys
 from floergrowth import cli
+from floergrowth.foxcalc import chain_matrices
+from floergrowth.freegroup import Endomorphism
+from floergrowth.reptheory import (
+    Representation, abelian_quotient_rep, twist_matrix, twisted_lefschetz, validate_rep,
+)
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         assert cli.run(argv) == 0, argv
         assert "numpy" not in sys.modules, argv
+    # golden's mod-2 permutation representation, entered as unitary with z
+    # scaled by the phase 0.6 + 0.8i
+    golden = Endomorphism.from_images_text(["a b", "a"])
+    perm = abelian_quotient_rep(golden, 2).to_json()
+    rep = Representation.from_json({
+        "dim": perm["dim"],
+        "kind": "unitary",
+        "a": [[[[x, 0.0] for x in row] for row in m] for m in perm["a"]],
+        "z": [[[0.6 * x, 0.8 * x] for x in row] for row in perm["z"]],
+    })
+    assert validate_rep(rep, golden)[0]
+    for mat in chain_matrices(golden):
+        twist_matrix(mat, rep)
+    twisted_lefschetz(golden, rep, 4)
+    assert "numpy" not in sys.modules, "unitary representation"
     assert cli.run(["bounds", "--images", "a b, a", "--n", "3"]) == 0
 assert "numpy" in sys.modules, "bounds"
 """

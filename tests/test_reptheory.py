@@ -11,11 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floergrowth.foxcalc import RingElem, RingMatrix, chain_matrices, jacobian
-from floergrowth.freegroup import Endomorphism, Word, mat_pow, mat_trace
+from floergrowth.freegroup import Endomorphism, Word, mat_mul, mat_pow, mat_trace
 from floergrowth.groupring import reidemeister_interval, reidemeister_trace
+from floergrowth.ratfunc import CANCEL_TOL
 from floergrowth.reptheory import (
     Representation,
-    _compose,
     abelian_quotient_rep,
     trivial_representation,
     twist_matrix,
@@ -26,9 +26,22 @@ from floergrowth.reptheory import (
 from helpers import endomorphisms, random_endo, reference_det
 
 
-def dense(p):
-    """0/1 matrix of an index-tuple permutation (row r has its 1 in column p[r])."""
-    return tuple(tuple(1 if j == p[i] else 0 for j in range(len(p))) for i in range(len(p)))
+def dense(rows):
+    """Dense matrix of a stored image given as sparse (column, value) rows."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[i][j] = x
+    return tuple(map(tuple, out))
+
+
+def as_rows(p):
+    """Sparse rows of an index-tuple permutation (row r has its 1 in column p[r])."""
+    return tuple(((j, 1),) for j in p)
+
+
+def as_tuples(m):
+    return tuple(map(tuple, m))
 
 
 def log_derivative(series):
@@ -97,14 +110,15 @@ def test_representation_validation_errors():
 def test_word_matrix_examples(doubling):
     rep = abelian_quotient_rep(doubling, 3)
     ident = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-    assert dense(rep.word_matrix(Word(()))) == ident
-    assert dense(rep.word_matrix(Word.parse("a A"))) == ident
-    pa = dense(rep.word_matrix(Word.parse("a")))
-    assert dense(rep.word_matrix(Word.parse("a a"))) == tuple(
+    assert as_tuples(rep.word_matrix(Word(()))) == ident
+    assert as_tuples(rep.word_matrix(Word.parse("a A"))) == ident
+    pa = as_tuples(rep.word_matrix(Word.parse("a")))
+    assert pa == dense(rep.gen_images[0])
+    assert as_tuples(rep.word_matrix(Word.parse("a a"))) == tuple(
         tuple(sum(pa[i][k] * pa[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )
     # a has order 3 in the quotient
-    assert dense(rep.word_matrix(Word.parse("a^3"))) == ident
+    assert as_tuples(rep.word_matrix(Word.parse("a^3"))) == ident
 
 
 @settings(max_examples=120, deadline=None)
@@ -125,12 +139,12 @@ def test_abelian_quotient_rep_is_translations_and_abelianization(f, m):
         minus_ek = tuple(
             index[tuple((x - (j == k)) % m for j, x in enumerate(p))] for p in points
         )
-        assert rep.gen_images[k] == minus_ek
+        assert rep.gen_images[k] == as_rows(minus_ek)
     times_a = tuple(
         index[tuple(sum(p[i] * a[i][j] for i in range(r)) % m for j in range(r))]
         for p in points
     )
-    assert rep.z_image == times_a
+    assert rep.z_image == as_rows(times_a)
     assert validate_rep(rep, f) == (True, 0)
 
 
@@ -259,8 +273,8 @@ def test_representation_json_roundtrip(doubling, golden):
     )
     back = Representation.from_json(unitary.to_json())
     assert back.kind == "unitary" and back.dim == 1
-    assert np.allclose(back.z_image, unitary.z_image)
-    assert all(np.allclose(a, b) for a, b in zip(back.gen_images, unitary.gen_images))
+    assert back.z_image == unitary.z_image == (((0, 0.6 + 0.8j),),)
+    assert back.gen_images == unitary.gen_images == ((((0, 1 + 0j),),),)
 
 
 def test_twisted_zeta_with_extra_matrix(doubling):
@@ -296,7 +310,7 @@ def test_word_matrix_is_product_of_letter_matrices(case):
     want = [[int(i == j) for j in range(k)] for i in range(k)]
     for x in letters:
         want = [[sum(want[i][l] * letter[x][l][j] for l in range(k)) for j in range(k)] for i in range(k)]
-    assert dense(rep.word_matrix(Word(tuple(letters)))) == tuple(map(tuple, want))
+    assert as_tuples(rep.word_matrix(Word(tuple(letters)))) == tuple(map(tuple, want))
 
 
 @settings(max_examples=25, deadline=None)
@@ -329,11 +343,10 @@ def test_trace_through_representation_is_twisted_lefschetz(f, modulus, n):
         rep = abelian_quotient_rep(f, modulus)
     except ValueError:
         assume(False)  # not invertible mod this modulus (r3 mod 3, for one)
-    zn = rep.z_power(n)
+    zn = mat_pow(dense(rep.z_image), n)
     pushed = 0
     for g, c in reidemeister_trace(f, n).body.terms:
-        p = _compose(zn, rep.word_matrix(g))
-        pushed += c * sum(1 for r, image in enumerate(p) if image == r)
+        pushed += c * mat_trace(mat_mul(zn, as_tuples(rep.word_matrix(g))))
     assert pushed == twisted_lefschetz(f, rep, n)[n - 1]
 
 
@@ -378,3 +391,32 @@ def test_twisted_lefschetz_unitary_matches_matrix_power():
             (-1) ** d * np.trace(np.linalg.matrix_power(b, n)) for d, b in enumerate(blocks)
         )
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(CORPUS_MAPS), endomorphisms(2, 4)), st.sampled_from([2, 3]))
+def test_permutation_rep_entered_as_unitary_gives_the_exact_values(f, modulus):
+    """One code path serves both entry types: the matrices of an abelian
+    quotient representation, entered again as the unitary kind, validate,
+    twist to the same blocks and give the same Lefschetz numbers in complex
+    arithmetic.  The zeta series goes through the float lane's root
+    matching, so it is held to ten times its cancellation tolerance."""
+    try:
+        perm = abelian_quotient_rep(f, modulus)
+    except ValueError:
+        assume(False)
+    rep = Representation(
+        perm.dim, "unitary", tuple(dense(g) for g in perm.gen_images), dense(perm.z_image)
+    )
+    assert not rep.is_exact()
+    assert validate_rep(rep, f)[0]
+    for mat in chain_matrices(f):
+        block = twist_matrix(mat, rep)
+        assert all(isinstance(x, complex) for row in block for x in row)
+        assert block == twist_matrix(mat, perm)
+    for got, want in zip(twisted_lefschetz(f, rep, 8), twisted_lefschetz(f, perm, 8)):
+        assert abs(got - want) <= 1e-9
+    zeta = twisted_zeta(f, rep)
+    assert not zeta.exact
+    for got, want in zip(zeta.series(8), twisted_zeta(f, perm).series(8)):
+        assert abs(got - want) <= 10 * CANCEL_TOL * max(1, abs(want))
