@@ -65,6 +65,9 @@ class CLIError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # every option has one spelling: no prefixes
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # keep run() returning ints instead of exiting
         raise CLIError(message)
 
@@ -125,6 +128,8 @@ def _load_rep(args, f: Endomorphism, extras) -> Representation:
             check_block_size(f, as_integer(data["dim"], "dim"), extras)
             return _intertwining(Representation.from_json(data), f)
     if getattr(args, "modulus", None) is not None:
+        if args.modulus < 2:
+            raise CLIError("modulus must be >= 2")
         check_block_size(f, args.modulus ** f.rank, extras)
         return _intertwining(abelian_quotient_rep(f, args.modulus), f)
     return trivial_representation(f.rank)
@@ -409,12 +414,7 @@ _DISPATCH = {
 # -- parser --------------------------------------------------------------------
 
 def _add_map_options(p):
-    p.add_argument(
-        "--endo",
-        "--map",
-        dest="map",
-        help="JSON file: {rank, images, extra_matrices?}",
-    )
+    p.add_argument("--map", help="JSON file: {rank, images, extra_matrices?}")
     p.add_argument("--images", help="inline images, e.g. 'a b, a'")
 
 
@@ -482,14 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6, help="iterates 1..N")
 
     p = sub.add_parser("assemble", help="iterate dimensions of a reducible class")
-    p.add_argument("--spec", "--class", dest="class_file", required=True)
-    p.add_argument(
-        "--iterates",
-        "--n",
-        dest="n",
-        type=int,
-        help="iterates 1..N (default from data)",
-    )
+    p.add_argument("--class", dest="class_file", required=True)
+    p.add_argument("--n", type=int, help="iterates 1..N (default from data)")
     p.add_argument("--report", action="store_true", help="include the growth report")
     p.add_argument("--graph-test", action="store_true", help="include the graph test")
 

@@ -60,9 +60,6 @@ class RingElem:
     def monomial(cls, w: Word, c: int = 1) -> "RingElem":
         return cls(((w, c),))
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __add__(self, other: "RingElem") -> "RingElem":
         if not other._coeffs:
             return self
@@ -92,11 +89,6 @@ class RingElem:
                 w = u * v
                 acc[w] = get(w, 0) + cu * cv
         return _elem({w: c for w, c in acc.items() if c})
-
-    def scale(self, c: int) -> "RingElem":
-        if not c:
-            return RingElem()
-        return _elem({w: c * k for w, k in self._coeffs.items()})
 
     def map_words(self, fn: Callable[[Word], Word]) -> "RingElem":
         acc: dict[Word, int] = {}

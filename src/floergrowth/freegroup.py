@@ -25,6 +25,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 _LOWER = string.ascii_lowercase
 _MAX_NAMED = len(_LOWER)
 _NAMES = {s * i: ch if s > 0 else ch.upper() for i, ch in enumerate(_LOWER, 1) for s in (1, -1)}
+MAX_PARSED_LETTERS = 10**6  # Word.parse refuses longer words before expanding ^k
 
 
 def as_integer(value, what: str) -> int:
@@ -85,23 +86,8 @@ class Word:
     def inverse(self) -> "Word":
         return _word(tuple(map(neg, reversed(self.letters))))
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __len__(self) -> int:
         return len(self.letters)
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def max_index(self) -> int:
         return max((abs(x) for x in self.letters), default=0)
@@ -138,6 +124,8 @@ class Word:
                 raise ValueError(f"letter {base!r} exceeds rank {rank}")
             if base.isupper():
                 exp = -exp
+            if len(letters) + abs(exp) > MAX_PARSED_LETTERS:
+                raise ValueError(f"word is longer than {MAX_PARSED_LETTERS} letters")
             letters.extend([idx if exp > 0 else -idx] * abs(exp))
         return cls(tuple(letters))
 
@@ -243,9 +231,6 @@ class Endomorphism:
     def from_json(cls, data) -> "Endomorphism":
         rank = as_integer(data["rank"], "rank")
         return cls(rank, tuple(Word.parse(s, rank) for s in data["images"]))
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "images": [w.to_text() for w in self.images]}
 
 
 # -- small integer-matrix helpers used across the package ------------------

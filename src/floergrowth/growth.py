@@ -34,7 +34,12 @@ class GrowthEstimate:
 
 
 def growth_estimate(seq: Sequence[float]) -> GrowthEstimate:
-    terms = [float(x) for x in seq]
+    terms = []
+    for k, x in enumerate(seq, 1):
+        try:
+            terms.append(float(x))
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"sequence term {k} is too large for a float") from None
     if len(terms) < MIN_GROWTH_TERMS:
         raise ValueError(f"need at least {MIN_GROWTH_TERMS} terms to estimate growth")
     if not all(0 <= x < math.inf for x in terms):  # NaN fails too

@@ -27,7 +27,6 @@ PERIODIC = "periodic"
 PSEUDO_ANOSOV = "pseudo-anosov"
 
 _KINDS = (FIXED_A, FIXED_B, FIXED_C, PERIODIC, PSEUDO_ANOSOV)
-_ALIASES = {"pseudoAnosov": PSEUDO_ANOSOV, "pA": PSEUDO_ANOSOV}
 
 CROSSCHECK_REL_TOL = 0.05
 
@@ -51,8 +50,8 @@ class ComponentSpec:
 
     fixed-a: dim.  fixed-b: prongs p, count, dim (adds (p-1)*count).
     fixed-c: prongs q, count, dim (adds q*count).  periodic: lefschetz list.
-    pseudo-anosov: dims list, optional dilatation.  dim and count accept a
-    per-iterate list in place of a constant.
+    pseudo-anosov: dims list, optional dilatation (a finite number >= 1).
+    dim and count accept a per-iterate list in place of a constant.
     """
 
     kind: str
@@ -64,10 +63,9 @@ class ComponentSpec:
     dilatation: float | None = None
 
     def __post_init__(self):
-        kind = _ALIASES.get(self.kind, self.kind)
-        object.__setattr__(self, "kind", kind)
+        kind = self.kind
         if kind not in _KINDS:
-            raise ValueError(f"unknown component kind {self.kind!r}")
+            raise ValueError(f"unknown component kind {kind!r}")
         for key in ("dim", "count", "prongs"):
             v = getattr(self, key)
             if isinstance(v, (list, tuple)) and key != "prongs":
@@ -94,6 +92,10 @@ class ComponentSpec:
             object.__setattr__(self, "dims", _integers(self.dims, "pseudo-anosov dims entry"))
             if any(x < 0 for x in self.dims):
                 raise ValueError("iterate dimensions must be nonnegative")
+        d = self.dilatation
+        number = isinstance(d, (int, float)) and not isinstance(d, bool)
+        if d is not None and not (number and 1 <= d < math.inf):  # NaN fails too
+            raise ValueError(f"dilatation must be a finite number >= 1, got {d!r}")
 
     def contribution(self, n: int) -> int:
         if n < 1:
@@ -133,21 +135,12 @@ class ComponentSpec:
             dilatation=data.get("dilatation"),
         )
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for key in ("dim", "prongs", "count", "lefschetz", "dims", "dilatation"):
-            v = getattr(self, key)
-            if v is not None and not (key == "count" and v == 1):
-                out[key] = list(v) if isinstance(v, tuple) else v
-        return out
-
 
 @dataclass(frozen=True)
 class ClassSpec:
     """A mapping class in standard form: the list of its pieces."""
 
     components: tuple[ComponentSpec, ...]
-    genus: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -163,16 +156,7 @@ class ClassSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ClassSpec":
-        return cls(
-            components=tuple(ComponentSpec.from_json(c) for c in data["components"]),
-            genus=data.get("genus"),
-        )
-
-    def to_json(self) -> dict:
-        out = {"components": [c.to_json() for c in self.components]}
-        if self.genus is not None:
-            out["genus"] = self.genus
-        return out
+        return cls(tuple(ComponentSpec.from_json(c) for c in data["components"]))
 
 
 def assemble_dim(spec: ClassSpec, n: int) -> int:

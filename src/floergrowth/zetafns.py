@@ -102,12 +102,6 @@ class RadicalRational:
     period: int
     factors: tuple  # (d, P(d)) pairs, one per divisor d of the period
 
-    def exponent(self, d: int) -> Fraction:
-        for base, p in self.factors:
-            if base == d:
-                return Fraction(-p, d)
-        raise KeyError(d)
-
     def expand(self, order: int) -> PowerSeries:
         """The series exp(sum d_n t^n / n) with d_n the sum of P(d) over d | n:
         the log of (1 - t^d)^(-P(d)/d) is sum_k P(d) t^(dk) / (dk)."""

@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +18,8 @@ from floergrowth import cli, growth, ratfunc
 from floergrowth.cli import EXIT_CROSSCHECK, EXIT_INPUT, EXIT_OK, EXIT_UNCERTIFIED, run
 
 PHI = (1 + math.sqrt(5)) / 2
-DOCS = Path(__file__).resolve().parent.parent / "docs" / "input-formats.md"
+README = Path(__file__).resolve().parent.parent / "README.md"
+DOCS = README.parent / "docs" / "input-formats.md"
 
 
 def _not_json(constant):
@@ -55,14 +57,14 @@ def test_trace_strict_uncertified(capsys, tmp_path):
     endo = tmp_path / "endo.json"
     endo.write_text(json.dumps({"rank": 1, "images": ["a a"], "extra_matrices": [[["1"]]]}))
 
-    shallow = ["trace", "--endo", str(endo), "--n", "1", "--depth", "0", "--strict"]
+    shallow = ["trace", "--map", str(endo), "--n", "1", "--depth", "0", "--strict"]
     payload = payload_of(capsys, shallow, expect=EXIT_UNCERTIFIED)
     assert payload["strict_failure"] == "some interval is not certified"
     row = payload["rows"][0]
     assert (row["norm_lower"], row["norm_upper"]) == (0, 2)
     assert row["certification"] == "uncertified-interval"
 
-    deep = ["trace", "--endo", str(endo), "--n", "1", "--depth", "8", "--strict"]
+    deep = ["trace", "--map", str(endo), "--n", "1", "--depth", "8", "--strict"]
     payload = payload_of(capsys, deep)
     row = payload["rows"][0]
     assert (row["norm_lower"], row["norm_upper"]) == (0, 0)
@@ -231,7 +233,7 @@ def test_assemble_command(capsys, tmp_path):
     )
     payload = payload_of(
         capsys,
-        ["assemble", "--spec", str(spec), "--iterates", "3", "--report", "--graph-test"],
+        ["assemble", "--class", str(spec), "--n", "3", "--report", "--graph-test"],
     )
     assert payload["components"] == 2
     assert payload["dims"] == [
@@ -243,10 +245,10 @@ def test_assemble_command(capsys, tmp_path):
     assert payload["graph_test"]["is_graph_manifold"] is True
 
     # default horizon follows the stored data
-    payload = payload_of(capsys, ["assemble", "--spec", str(spec)])
+    payload = payload_of(capsys, ["assemble", "--class", str(spec)])
     assert [row["n"] for row in payload["dims"]] == [1, 2, 3, 4]
 
-    assert run(["assemble", "--spec", str(spec), "--iterates", "5"]) == EXIT_INPUT
+    assert run(["assemble", "--class", str(spec), "--n", "5"]) == EXIT_INPUT
     assert "stops at iterate 4" in capsys.readouterr().err
 
 
@@ -295,13 +297,13 @@ def test_limit_validation(capsys, tmp_path):
         (["trace", "--images", "a", "--n", "-1"], "--n must be between 1 and 64"),
         (["torus", "--matrix", "2,1,1,1", "--n", "0"], "--n must be between 1 and 64"),
         (["bounds", "--images", "a b, a", "--n", "0"], "--n must be between 1 and 64"),
-        (["assemble", "--spec", str(spec), "--n", "0"], "--n must be between 1 and 64"),
+        (["assemble", "--class", str(spec), "--n", "0"], "--n must be between 1 and 64"),
     ]
     for argv, message in cases:
         assert run(argv) == EXIT_INPUT, argv
         assert message in capsys.readouterr().err, argv
     # without --n, assemble still takes its horizon from the data
-    payload = payload_of(capsys, ["assemble", "--spec", str(spec)])
+    payload = payload_of(capsys, ["assemble", "--class", str(spec)])
     assert [row["n"] for row in payload["dims"]] == [1, 2, 3, 4, 5, 6]
 
 
@@ -333,12 +335,12 @@ def test_bad_input_reporting(capsys, tmp_path):
     assert run(["fox"]) == EXIT_INPUT
     assert "provide --map FILE or --images" in capsys.readouterr().err
 
-    assert run(["trace", "--endo", str(tmp_path / "missing.json")]) == EXIT_INPUT
+    assert run(["trace", "--map", str(tmp_path / "missing.json")]) == EXIT_INPUT
     assert "no such file" in capsys.readouterr().err
 
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    assert run(["fox", "--endo", str(broken)]) == EXIT_INPUT
+    assert run(["fox", "--map", str(broken)]) == EXIT_INPUT
     assert "invalid JSON" in capsys.readouterr().err
 
     assert run(["torus", "--matrix", "1,2,3"]) == EXIT_INPUT
@@ -354,20 +356,84 @@ def test_bad_input_reporting(capsys, tmp_path):
     outside = tmp_path / "outside.json"
     outside.write_text(json.dumps({"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1 + c"]]]}))
     for argv in (["trace", "--n", "2", "--no-interval"], ["zeta-twisted", "--modulus", "2"]):
-        assert run([*argv, "--endo", str(outside)]) == EXIT_INPUT
+        assert run([*argv, "--map", str(outside)]) == EXIT_INPUT
         assert "exceeds rank 2" in capsys.readouterr().err
 
     # an extra matrix is a chain map, so it must be square
     oblong = tmp_path / "oblong.json"
     oblong.write_text(json.dumps({"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1", "a"]]]}))
     for argv in (["fox"], ["trace", "--n", "2"], ["zeta-twisted", "--modulus", "2"]):
-        assert run([*argv, "--endo", str(oblong)]) == EXIT_INPUT
+        assert run([*argv, "--map", str(oblong)]) == EXIT_INPUT
         assert "extra matrices must be square" in capsys.readouterr().err
 
-    # --modulus 0 is refused, not read as "no modulus"
+    # --modulus 0 is refused, not read as "no modulus"; a negative modulus
+    # gets the same message, not the block-size check's
     for command in ("zeta-twisted", "bounds"):
-        assert run([command, "--images", "a b, a", "--modulus", "0"]) == EXIT_INPUT
-        assert "modulus must be >= 2" in capsys.readouterr().err
+        for m in ("0", "-20"):
+            assert run([command, "--images", "a b, a", "--modulus", m]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert "modulus must be >= 2" in err and "block size" not in err, err
+
+    # a huge exponent is refused before the word is expanded
+    for argv in (["trace", "--n", "1"], ["fox"]):
+        assert run([*argv, "--images", "a^1000000000000000000, b"]) == EXIT_INPUT
+        assert "longer than 1000000 letters" in capsys.readouterr().err
+
+
+def test_one_spelling_per_option(capsys, tmp_path):
+    """Old aliases and option prefixes are unrecognized arguments (exit 2);
+    the one spelling of each option works."""
+    endo = tmp_path / "endo.json"
+    endo.write_text(json.dumps({"rank": 2, "images": ["a b", "a"]}))
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"components": [{"kind": "fixed-a", "dim": 2}]}))
+    rejected = [
+        ["fox", "--endo", str(endo)],
+        ["assemble", "--class", str(spec), "--spec", str(spec)],
+        ["assemble", "--class", str(spec), "--iterates", "3"],
+        ["zeta-twisted", "--images", "a b, a", "--mod", "2"],
+        ["trace", "--images", "a b, a", "--no-int"],
+    ]
+    for argv in rejected:
+        assert run(argv) == EXIT_INPUT, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert run(["assemble", "--spec", str(spec)]) == EXIT_INPUT
+    assert "--class" in capsys.readouterr().err
+    assert payload_of(capsys, ["fox", "--map", str(endo)])["rank"] == 2
+    dims = payload_of(capsys, ["assemble", "--class", str(spec), "--n", "2"])["dims"]
+    assert dims == [{"n": 1, "dim": 2}, {"n": 2, "dim": 2}]
+
+
+def test_integers_past_the_float_range_exit_2(capsys, tmp_path):
+    """The growth proxy names a term too large for a float instead of
+    ending in an OverflowError traceback."""
+    huge = 10**400
+    assert run(["series", "--dims", f"1,2,{huge}"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "term 3 is too large for a float" in err and "Traceback" not in err
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"components": [{"kind": "pseudo-anosov", "dims": [1, 2, huge]}]}))
+    assert run(["assemble", "--class", str(spec), "--report"]) == EXIT_INPUT
+    assert "term 3 is too large for a float" in capsys.readouterr().err
+
+
+def documented_commands():
+    """Each `floergrowth ...` line of the sh blocks in the README and the
+    input-format docs, as an argument list without the program name."""
+    for path in (README, DOCS):
+        for block in re.findall(r"```sh\n(.*?)```", path.read_text(), re.S):
+            for line in block.splitlines():
+                words = shlex.split(line.removeprefix("$ "))
+                if words[:1] == ["floergrowth"]:
+                    yield words[1:]
+
+
+def test_documented_commands_parse():
+    commands = list(documented_commands())
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_rep_file_named_in_rank_and_intertwining_errors(capsys, tmp_path):
@@ -418,6 +484,13 @@ MALFORMED_FILES = [
         ("component-kind-missing", {"components": [{"dim": 2}]}),
         ("dim-bool", {"components": [{"kind": "fixed-a", "dim": True}]}),
         ("component-kind-unknown", {"components": [{"kind": "fixed-q", "dim": 1}]}),
+        ("component-kind-pA", _pa(kind="pA")),
+        ("component-kind-pseudoAnosov", _pa(kind="pseudoAnosov")),
+        # JSON 1e400 reads as inf, which json.dumps writes as Infinity
+        ("dilatation-inf", _pa(dilatation=float("inf"))),
+        ("dilatation-nan", _pa(dilatation=float("nan"))),
+        ("dilatation-string", _pa(dilatation="x")),
+        ("dilatation-bool", _pa(dilatation=True)),
     ]
     for cmd in _CLASS_COMMANDS
 ] + [

@@ -108,7 +108,7 @@ def test_ring_elem_arithmetic():
     assert x - x == RingElem.zero()
     # multiplication concatenates and reduces words: (1 + a)(A) = A + 1
     assert x * elem("A") == elem("1 + A")
-    assert x.scale(-2) == elem("-2 - 2 a")
+    assert elem("-2") * x == elem("-2 - 2 a")
     assert elem("3 a b - 2 a").augment() == 1
     assert elem("3 a b - 2 a").norm() == 5
     assert RingElem.zero().norm() == 0

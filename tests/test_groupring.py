@@ -101,7 +101,7 @@ def test_h_trace():
     assert m1("a").trace() == elem("a")
     diag = RingMatrix(((elem("a"), elem("0")), (elem("0"), elem("b"))))
     assert diag.trace() == elem("a + b")
-    assert m1("0").trace().is_zero()
+    assert m1("0").trace() == RingElem.zero()
     # the Reidemeister trace carries the z-degree n of the power it traces
     ident1 = Endomorphism.identity(1)
     assert reidemeister_trace(ident1, 3, [m1("a")]) == HElem(3, elem("a^3"))

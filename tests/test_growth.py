@@ -35,6 +35,11 @@ def test_growth_estimate_flat_and_geometric():
         growth_estimate([1, 2])
     with pytest.raises(ValueError):
         growth_estimate([1, -1, 2])
+    # an integer past the float range is named, not an OverflowError; one
+    # that fits keeps the plain root
+    with pytest.raises(ValueError, match="term 3 is too large for a float"):
+        growth_estimate([1, 2, 10**400])
+    assert growth_estimate([1, 2, 10**300]).value == (10.0**300) ** (1 / 3)
 
 
 def test_growth_estimate_fibonacci_tail():
