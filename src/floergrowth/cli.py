@@ -22,7 +22,7 @@ from pathlib import Path
 from .foxcalc import RingElem, RingMatrix, jacobian
 from .freegroup import Endomorphism, as_integer
 from .groupring import DEFAULT_SEARCH_DEPTH, norm_interval, reidemeister_trace
-from .growth import MIN_GROWTH_TERMS, full_report, growth_estimate
+from .growth import MIN_GROWTH_TERMS, SPECTRAL_CROSSCHECK_TOL, full_report, growth_estimate
 from .mappingclass import (
     ClassSpec,
     assemble_dim,
@@ -171,10 +171,13 @@ def _parse_dims_map(text: str) -> dict[int, int]:
         piece = piece.strip()
         if not piece:
             continue
-        if ":" not in piece:
+        try:
+            d, v = (int(x) for x in piece.split(":"))
+        except ValueError:
             raise CLIError(f"--dims entries look like 'd:value', got {piece!r}")
-        d, v = piece.split(":", 1)
-        out[int(d)] = int(v)
+        if d in out:
+            raise CLIError(f"--dims gives divisor {d} twice")
+        out[d] = v
     if not out:
         raise CLIError("--dims is empty")
     return out
@@ -307,7 +310,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     payload["certification"] = {
         "lower_bound": "exact" if rep.is_exact() else f"float({CANCEL_TOL:g})",
         "upper_bound_norm": "exact",
-        "upper_bound_spectral": "float(1e-10 cross-check)",
+        "upper_bound_spectral": f"float({SPECTRAL_CROSSCHECK_TOL:g} cross-check)",
         "sequence_estimate": "certified-interval uppers",
     }
     return payload, EXIT_OK
@@ -376,7 +379,7 @@ def _cmd_assemble(args) -> tuple[dict, int]:
         {"n": n, "dim": assemble_dim(spec, n)} for n in range(1, horizon + 1)
     ]
     if args.report:
-        payload["report"] = asymptotic_invariant(spec, n_max=max(horizon, 3)).to_json()
+        payload["report"] = asymptotic_invariant(spec, max(horizon, MIN_GROWTH_TERMS)).to_json()
     if args.graph_test:
         payload["graph_test"] = graph_manifold_test(spec).to_json()
     return payload, EXIT_OK
@@ -393,7 +396,7 @@ def _cmd_series(args) -> tuple[dict, int]:
         "coefficients": [str(c) for c in series.coeffs],
         "certification": "exact",
     }
-    if len(dims) >= 3:
+    if len(dims) >= MIN_GROWTH_TERMS:
         payload["radius_estimate"] = radius_estimate(dims)
     return payload, EXIT_OK
 
@@ -414,13 +417,15 @@ _DISPATCH = {
 # -- parser --------------------------------------------------------------------
 
 def _add_map_options(p):
-    p.add_argument("--map", help="JSON file: {rank, images, extra_matrices?}")
-    p.add_argument("--images", help="inline images, e.g. 'a b, a'")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--map", help="JSON file: {rank, images, extra_matrices?}")
+    g.add_argument("--images", help="inline images, e.g. 'a b, a'")
 
 
 def _add_rep_options(p):
-    p.add_argument("--rep", help="JSON file describing a representation")
-    p.add_argument(
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--rep", help="JSON file describing a representation")
+    g.add_argument(
         "--modulus",
         type=int,
         help="use the translation action on the mod-m homology points",
@@ -468,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic-zeta", help="radical closed form for periodic maps")
     p.add_argument("--period", type=int, required=True)
-    p.add_argument("--dims", help="dimensions at divisor iterates, 'd:value,...'")
-    p.add_argument("--class", dest="class_file", help="class description JSON")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--dims", help="dimensions at divisor iterates, 'd:value,...'")
+    g.add_argument("--class", dest="class_file", help="class description JSON")
     p.add_argument("--order", type=int, default=0, help="also print the expansion")
 
     p = sub.add_parser("torus", help="closed-form counts and zetas on the torus")

@@ -17,7 +17,7 @@ from typing import Sequence
 from .foxcalc import RingMatrix, chain_matrices
 from .freegroup import Endomorphism, IntMatrix
 from .groupring import DEFAULT_SEARCH_DEPTH, matrix_norm, norm_matrix, reidemeister_interval
-from .ratfunc import CrossCheckError, det_one_minus_t
+from .ratfunc import CrossCheckError, det_one_minus_t, poly_roots
 from .reptheory import Representation, trivial_representation, twisted_zeta
 
 SPECTRAL_CROSSCHECK_TOL = 1e-10
@@ -71,16 +71,11 @@ def _strong_components(mat: IntMatrix) -> list[list[int]]:
 
 
 def _block_root_modulus(block) -> float:
-    """Max root modulus of an irreducible block via its characteristic polynomial."""
-    import numpy as np
-
-    coeffs = det_one_minus_t(block)
-    arr = np.array([float(c) for c in coeffs])
-    if len(arr) == 1:
-        return 0.0
-    roots = np.roots(arr[::-1])
-    nz = [abs(1.0 / w) for w in roots if abs(w) > 0]
-    return float(max(nz)) if nz else 0.0
+    """Max root modulus of an irreducible block of size >= 2: 1 / the least
+    root modulus of det(I - tB), which has a root (the block has a cycle, so
+    its radius is positive) and none at 0 (its constant term is 1)."""
+    roots = poly_roots([float(c) for c in det_one_minus_t(block)])
+    return float(max(abs(1.0 / w) for w in roots))
 
 
 def _block_power_iteration(block) -> float:
@@ -112,11 +107,9 @@ def spectral_radius(mat: IntMatrix) -> float:
     The support digraph is split into strongly connected components, so every
     diagonal block is irreducible with a simple Perron root.  Each block's
     radius comes from its exact characteristic polynomial and is cross-checked
-    by bracketed power iteration; disagreement beyond 1e-10 relative raises.
+    by bracketed power iteration; a relative disagreement beyond
+    SPECTRAL_CROSSCHECK_TOL raises.
     """
-    n = len(mat)
-    if n == 0:
-        return 0.0
     if any(x < 0 for row in mat for x in row):
         raise ValueError("matrix must be nonnegative")
     best = 0.0
@@ -217,9 +210,10 @@ def full_report(
         for n in range(1, n_iterates + 1)
     ]
     est = growth_estimate(uppers)
+    # the degree-0 chain block (1) makes the spectral upper at least 1
     entropy = {
         "lower_bound": math.log(lower),
-        "upper_bound_spectral": math.log(spectral) if spectral > 0 else float("-inf"),
+        "upper_bound_spectral": math.log(spectral),
         "upper_bound_norm": math.log(total),
         "sequence_estimate": math.log(est.value),
     }

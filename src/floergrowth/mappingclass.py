@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .freegroup import as_integer
-from .growth import GrowthReport, growth_estimate
+from .growth import MIN_GROWTH_TERMS, GrowthReport, growth_estimate
 from .zetafns import RadicalRational, divisors, periodic_zeta
 
 FIXED_A = "fixed-a"
@@ -26,7 +26,16 @@ FIXED_C = "fixed-c"
 PERIODIC = "periodic"
 PSEUDO_ANOSOV = "pseudo-anosov"
 
-_KINDS = (FIXED_A, FIXED_B, FIXED_C, PERIODIC, PSEUDO_ANOSOV)
+# kind: (field read at iterate n, what its "needs ..." message asks for, least
+# number of prongs or None when prongs and count are unread, offset w: count
+# is weighted by prongs + w)
+_KINDS = {
+    FIXED_A: ("dim", "a dim", None, 0),
+    FIXED_B: ("dim", "a dim", 1, -1),
+    FIXED_C: ("dim", "a dim", 2, 0),
+    PERIODIC: ("lefschetz", "its lefschetz numbers", None, 0),
+    PSEUDO_ANOSOV: ("dims", "an iterate-dimension sequence", None, 0),
+}
 
 CROSSCHECK_REL_TOL = 0.05
 
@@ -64,8 +73,9 @@ class ComponentSpec:
 
     def __post_init__(self):
         kind = self.kind
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:  # a JSON list is unhashable
             raise ValueError(f"unknown component kind {kind!r}")
+        field, needs, least, _ = _KINDS[kind]
         for key in ("dim", "count", "prongs"):
             v = getattr(self, key)
             if isinstance(v, (list, tuple)) and key != "prongs":
@@ -73,24 +83,16 @@ class ComponentSpec:
             elif v is not None:
                 v = as_integer(v, f"{kind} {key}")
             object.__setattr__(self, key, v)
-        if kind in (FIXED_A, FIXED_B, FIXED_C) and self.dim is None:
-            raise ValueError(f"{kind} component needs a dim")
-        if kind == FIXED_B and (self.prongs is None or self.prongs < 1):
-            raise ValueError("fixed-b component needs prongs >= 1")
-        if kind == FIXED_C and (self.prongs is None or self.prongs < 2):
-            raise ValueError("fixed-c component needs prongs >= 2")
-        if kind == PERIODIC:
-            if not self.lefschetz:
-                raise ValueError("periodic component needs its lefschetz numbers")
-            lefschetz = _integers(self.lefschetz, "periodic lefschetz entry")
-            object.__setattr__(self, "lefschetz", lefschetz)
-        if kind == PSEUDO_ANOSOV:
-            if not self.dims:
-                raise ValueError(
-                    "pseudo-anosov component needs an iterate-dimension sequence"
-                )
-            object.__setattr__(self, "dims", _integers(self.dims, "pseudo-anosov dims entry"))
-            if any(x < 0 for x in self.dims):
+        value = getattr(self, field)
+        # dim may be 0 or an empty list; a list field must have entries
+        if value is None or (field != "dim" and not value):
+            raise ValueError(f"{kind} component needs {needs}")
+        if least is not None and (self.prongs is None or self.prongs < least):
+            raise ValueError(f"{kind} component needs prongs >= {least}")
+        if field != "dim":  # dim was converted with count and prongs
+            value = _integers(value, f"{kind} {field} entry")
+            object.__setattr__(self, field, value)
+            if field == "dims" and any(x < 0 for x in value):
                 raise ValueError("iterate dimensions must be nonnegative")
         d = self.dilatation
         number = isinstance(d, (int, float)) and not isinstance(d, bool)
@@ -100,19 +102,12 @@ class ComponentSpec:
     def contribution(self, n: int) -> int:
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind == FIXED_A:
-            return _per_iterate(self.dim, n, "fixed-a dim")
-        if self.kind == FIXED_B:
-            d = _per_iterate(self.dim, n, "fixed-b dim")
-            c = _per_iterate(self.count, n, "fixed-b count")
-            return d + (self.prongs - 1) * c
-        if self.kind == FIXED_C:
-            d = _per_iterate(self.dim, n, "fixed-c dim")
-            c = _per_iterate(self.count, n, "fixed-c count")
-            return d + self.prongs * c
-        if self.kind == PERIODIC:
-            return _per_iterate(self.lefschetz, n, "periodic lefschetz")
-        return _per_iterate(self.dims, n, "pseudo-anosov dims")
+        field, _, least, weight = _KINDS[self.kind]
+        value = _per_iterate(getattr(self, field), n, f"{self.kind} {field}")
+        if least is None:
+            return value
+        count = _per_iterate(self.count, n, f"{self.kind} count")
+        return value + (self.prongs + weight) * count
 
     def max_iterate(self) -> int | None:
         """Largest n with data, or None when constant in n."""
@@ -181,7 +176,7 @@ def asymptotic_invariant(spec: ClassSpec, n_max: int = 30) -> GrowthReport:
     horizon = n_max if limit is None else min(n_max, limit)
     estimate = None
     window = None
-    if horizon >= 3:
+    if horizon >= MIN_GROWTH_TERMS:
         est = growth_estimate([assemble_dim(spec, n) for n in range(1, horizon + 1)])
         estimate, window = est.value, (est.window_start, est.n_terms)
 
@@ -208,7 +203,7 @@ def asymptotic_invariant(spec: ClassSpec, n_max: int = 30) -> GrowthReport:
     if math.isfinite(upper):
         entropy["upper_bound"] = math.log(upper)
     if estimate is not None:
-        entropy["sequence_estimate"] = math.log(max(estimate, 1e-300))
+        entropy["sequence_estimate"] = math.log(estimate)  # growth_estimate is >= 1
     return GrowthReport(
         lower_bound=lower,
         upper_bound_spectral=upper,

@@ -130,21 +130,21 @@ def det_one_minus_t(mat: Sequence[Sequence]):
     return _trim(coeffs)
 
 
-def _roots_nonzero(p):
-    """Roots of a polynomial with nonzero constant term, with residuals."""
+def poly_roots(coeffs):
+    """Roots of the polynomial with the given coefficients (constant term
+    first), as numpy returns them.  This is the package's one float root
+    finder; numpy picks its real or complex solver from the coefficients."""
     import numpy as np
 
-    arr = np.array([complex(c) for c in p], dtype=complex)
-    if len(arr) <= 1:
-        return []
-    roots = np.roots(arr[::-1])
-    scale = float(np.max(np.abs(arr)))
-    out = []
-    for w in roots:
-        residual = abs(complex(poly_eval([complex(c) for c in p], complex(w)))) / scale
-        out.append((complex(w), residual))
-    out.sort(key=lambda rw: (abs(rw[0]), rw[0].real, rw[0].imag))
-    return out
+    return np.roots(np.array(coeffs[::-1]))
+
+
+def _roots_nonzero(p):
+    """Roots of a polynomial with nonzero constant term, with residuals."""
+    p = [complex(c) for c in p]
+    scale = max(abs(c) for c in p)
+    out = [(complex(w), abs(poly_eval(p, complex(w))) / scale) for w in poly_roots(p)]
+    return sorted(out, key=lambda rw: (abs(rw[0]), rw[0].real, rw[0].imag))
 
 
 def _exact_coefficients(coeffs) -> bool:
@@ -192,8 +192,6 @@ class RationalFunction:
                 den, _ = _poly_divmod_exact(den, g)
                 log.info("cancelled a common factor of degree %d", poly_degree(g))
             return cls(tuple(num), tuple(den))
-        num = [complex(c) for c in _trim(num)]
-        den = [complex(c) for c in _trim(den)]
         rn = [w for w, _ in _roots_nonzero(num)]
         rd = [w for w, _ in _roots_nonzero(den)]
         cancelled = []

@@ -18,13 +18,9 @@ from __future__ import annotations
 from .freegroup import IntMatrix, mat_identity, mat_pow, mat_sub
 from .ratfunc import CrossCheckError
 from .snf import smith_normal_form
-from .zetafns import _check_2x2, is_hyperbolic
+from .zetafns import _check_2x2, _trace_det, is_hyperbolic
 
 ENUMERATION_LIMIT = 10_000
-
-
-def _det2(m: IntMatrix) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def lefschetz_number(a: IntMatrix, n: int) -> int:
@@ -32,7 +28,7 @@ def lefschetz_number(a: IntMatrix, n: int) -> int:
     _check_2x2(a)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _det2(mat_sub(mat_identity(2), mat_pow(a, n)))
+    return _trace_det(mat_sub(mat_identity(2), mat_pow(a, n)))[1]
 
 
 def _enumerate_count(m: IntMatrix, det: int, d1: int, d2: int, p: IntMatrix) -> int:
@@ -67,7 +63,7 @@ def _enumerate_count(m: IntMatrix, det: int, d1: int, d2: int, p: IntMatrix) -> 
 
 
 def _int_inverse_2x2(m) -> IntMatrix:
-    det = _det2(m)
+    _, det = _trace_det(m)
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return (
@@ -86,7 +82,7 @@ def fixed_point_count(a: IntMatrix, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = mat_sub(mat_pow(a, n), mat_identity(2))
-    det = _det2(m)
+    _, det = _trace_det(m)
     if det == 0:
         raise ValueError(f"A^{n} - I is singular: fixed points are not isolated")
     (d1, d2), p, _ = smith_normal_form(m)
@@ -108,7 +104,6 @@ def nielsen_sequence(a: IntMatrix, n_terms: int) -> list[int]:
     Hyperbolicity makes every count nonzero and equal to |L|, so the sequence
     doubles as the iterate-dimension sequence.
     """
-    _check_2x2(a)
-    if not is_hyperbolic(a):
+    if not is_hyperbolic(a):  # also rejects anything but a 2x2 matrix
         raise ValueError("matrix has an eigenvalue of modulus 1 (not hyperbolic)")
     return [fixed_point_count(a, n) for n in range(1, n_terms + 1)]

@@ -74,23 +74,6 @@ def radius_estimate(dims: Sequence[float]) -> float:
     return 1.0 / growth_estimate(dims).value
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius is defined on positive integers")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
@@ -127,7 +110,8 @@ class RadicalRational:
 
 def periodic_zeta(period: int, dims_on_divisors: Mapping[int, int]) -> RadicalRational:
     """Radical closed form for an m-periodic map from dimensions at divisor
-    iterates, via Moebius convolution on the divisor lattice."""
+    iterates: P(d) is dims(d) less the sum of P(e) over the proper divisors e
+    of d, the identity that RadicalRational.expand inverts."""
     if period < 1:
         raise ValueError("period must be >= 1")
     divs = divisors(period)
@@ -137,11 +121,10 @@ def periodic_zeta(period: int, dims_on_divisors: Mapping[int, int]) -> RadicalRa
     bad = {d: v for d, v in dims_on_divisors.items() if d not in divs}
     if bad:
         raise ValueError(f"indices {sorted(bad)} do not divide the period {period}")
-    factors = []
+    p: dict[int, int] = {}  # P(d); divs ascend, so P(e) is known for every e | d
     for d in divs:
-        p = sum(mobius(d1) * dims_on_divisors[d // d1] for d1 in divisors(d))
-        factors.append((d, p))
-    return RadicalRational(period, tuple(factors))
+        p[d] = dims_on_divisors[d] - sum(p[e] for e in p if d % e == 0)
+    return RadicalRational(period, tuple(p.items()))
 
 
 def periodic_dims_sequence(period: int, dims_on_divisors: Mapping[int, int], n_terms: int) -> list[int]:

@@ -174,6 +174,31 @@ def reference_radical_expansion(factors, order: int) -> list:
     return out
 
 
+def _mobius(n: int) -> int:
+    """The Moebius function by trial division."""
+    result = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def reference_periodic_exponents(period: int, dims) -> tuple:
+    """(d, P(d)) for each divisor d of the period by Moebius inversion:
+    P(d) is the sum of mu(d / e) dims(e) over the divisors e of d."""
+    divs = [d for d in range(1, period + 1) if period % d == 0]
+    return tuple(
+        (d, sum(_mobius(d // e) * dims[e] for e in divs if d % e == 0)) for d in divs
+    )
+
+
 def reference_norm_interval(
     h: HElem,
     f: Endomorphism,

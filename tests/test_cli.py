@@ -379,6 +379,36 @@ def test_bad_input_reporting(capsys, tmp_path):
         assert run([*argv, "--images", "a^1000000000000000000, b"]) == EXIT_INPUT
         assert "longer than 1000000 letters" in capsys.readouterr().err
 
+    # two inputs for one role are refused, not resolved silently
+    endo = tmp_path / "endo.json"
+    endo.write_text(json.dumps({"rank": 2, "images": ["a a b", "a b"]}))
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"dim": 1, "kind": "permutation", "a": [[[1]], [[1]]], "z": [[1]]}))
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"components": [{"kind": "fixed-a", "dim": 2}]}))
+    conflicts = [
+        (["trace", "--images", "a b, a", "--map", str(endo)], "--map", "--images"),
+        (["zeta-twisted", "--images", "a b, a", "--rep", str(rep), "--modulus", "2"], "--modulus", "--rep"),
+        (["periodic-zeta", "--period", "2", "--class", str(spec), "--dims", "1:1,2:1"], "--dims", "--class"),
+    ]
+    for argv, second, first in conflicts:
+        assert run(argv) == EXIT_INPUT, argv
+        err = capsys.readouterr().err
+        assert f"argument {second}: not allowed with argument {first}" in err, err
+
+    # malformed numbers name their option; neither periodic input is refused
+    cases = [
+        (["series", "--dims", "1,2.5,3"], "--dims: expected comma-separated integers"),
+        (["growth", "--seq", "1,x"], "--seq: expected numbers"),
+        (["periodic-zeta", "--period", "2"], "provide --dims 'd:value,...' or --class FILE"),
+        (["periodic-zeta", "--period", "2", "--dims", "1:x,2:3"], "--dims entries look like 'd:value', got '1:x'"),
+        (["periodic-zeta", "--period", "2", "--dims", "1:2,1:3,2:4"], "--dims gives divisor 1 twice"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == EXIT_INPUT, argv
+        err = capsys.readouterr().err
+        assert message in err, err
+
 
 def test_one_spelling_per_option(capsys, tmp_path):
     """Old aliases and option prefixes are unrecognized arguments (exit 2);
@@ -669,6 +699,14 @@ def test_text_mode(capsys):
     out = capsys.readouterr().out
     assert "hyperbolic: True" in out
     assert "{" not in out
+
+    # a nested payload indents its fields under their key
+    code = run(["--text", "zeta-twisted", "--images", "a b, a", "--modulus", "2"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("representation:")
+    assert lines[at + 1] == "  dim: 4"
+    assert "{" not in "".join(lines)
 
 
 def test_verbose_times_to_stderr(capsys):

@@ -14,7 +14,6 @@ from floergrowth.zetafns import (
     RadicalRational,
     divisors,
     is_hyperbolic,
-    mobius,
     periodic_dims_sequence,
     periodic_zeta,
     radius_estimate,
@@ -23,7 +22,7 @@ from floergrowth.zetafns import (
     weil_zeta_torus,
 )
 from floergrowth.torus import lefschetz_number
-from helpers import reference_radical_expansion
+from helpers import reference_periodic_exponents, reference_radical_expansion
 
 ANOSOV = ((2, 1), (1, 1))  # eigenvalues (3 +- sqrt 5)/2
 FIB_MAT = ((0, 1), (1, 1))  # eigenvalues (1 +- sqrt 5)/2
@@ -68,14 +67,16 @@ def test_radius_estimate_examples():
 
 
 def test_mobius_and_divisors():
-    values = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1, 8: 0, 9: 0, 30: -1, 12: 0}
-    for n, want in values.items():
-        assert mobius(n) == want
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
-    # sum over divisors of mobius is the unit impulse
-    for n in range(2, 40):
-        assert sum(mobius(d) for d in divisors(n)) == 0
+
+
+def test_periodic_exponents_match_mobius_inversion():
+    """The divisor-sum exponents equal the Moebius-inversion oracle."""
+    rng = random.Random(60)
+    for period in range(1, 61):
+        dims = {d: rng.randint(-5, 40) for d in divisors(period)}
+        assert periodic_zeta(period, dims).factors == reference_periodic_exponents(period, dims)
 
 
 def test_periodic_zeta_identity_like():
