@@ -49,13 +49,33 @@ def _per_iterate(value, n: int, what: str):
     return value
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    return tuple(as_integer(x, what) for x in values)
+def _iterate_fields(kind: str) -> tuple[str, ...]:
+    """The fields a kind reads at iterate n: its row's field, plus count
+    when its row weights count by prongs."""
+    field, _, least, _ = _KINDS[kind]
+    return (field,) if least is None else (field, "count")
+
+
+def _iterate_data(kind: str, field: str, value):
+    """A nonempty tuple of integers, or for dim and count also a constant;
+    only lefschetz numbers may be negative."""
+    what = f"{kind} {field}"
+    if field in ("dim", "count") and not isinstance(value, (list, tuple)):
+        out = as_integer(value, what)
+        values = (out,)
+    else:
+        out = values = tuple(as_integer(x, f"{what} entry") for x in value)
+        if not values:
+            raise ValueError(f"{what} list is empty")
+    if field != "lefschetz" and min(values) < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return out
 
 
 @dataclass(frozen=True)
 class ComponentSpec:
-    """One piece of the standard form; which fields apply depends on kind.
+    """One piece of the standard form; which fields apply depends on kind,
+    and the fields a kind does not read are ignored.
 
     fixed-a: dim.  fixed-b: prongs p, count, dim (adds (p-1)*count).
     fixed-c: prongs q, count, dim (adds q*count).  periodic: lefschetz list.
@@ -76,24 +96,15 @@ class ComponentSpec:
         if not isinstance(kind, str) or kind not in _KINDS:  # a JSON list is unhashable
             raise ValueError(f"unknown component kind {kind!r}")
         field, needs, least, _ = _KINDS[kind]
-        for key in ("dim", "count", "prongs"):
-            v = getattr(self, key)
-            if isinstance(v, (list, tuple)) and key != "prongs":
-                v = _integers(v, f"{kind} {key} entry")
-            elif v is not None:
-                v = as_integer(v, f"{kind} {key}")
-            object.__setattr__(self, key, v)
-        value = getattr(self, field)
-        # dim may be 0 or an empty list; a list field must have entries
-        if value is None or (field != "dim" and not value):
+        if getattr(self, field) is None:
             raise ValueError(f"{kind} component needs {needs}")
-        if least is not None and (self.prongs is None or self.prongs < least):
-            raise ValueError(f"{kind} component needs prongs >= {least}")
-        if field != "dim":  # dim was converted with count and prongs
-            value = _integers(value, f"{kind} {field} entry")
-            object.__setattr__(self, field, value)
-            if field == "dims" and any(x < 0 for x in value):
-                raise ValueError("iterate dimensions must be nonnegative")
+        if least is not None:
+            prongs = None if self.prongs is None else as_integer(self.prongs, f"{kind} prongs")
+            if prongs is None or prongs < least:
+                raise ValueError(f"{kind} component needs prongs >= {least}")
+            object.__setattr__(self, "prongs", prongs)
+        for key in _iterate_fields(kind):
+            object.__setattr__(self, key, _iterate_data(kind, key, getattr(self, key)))
         d = self.dilatation
         number = isinstance(d, (int, float)) and not isinstance(d, bool)
         if d is not None and not (number and 1 <= d < math.inf):  # NaN fails too
@@ -111,11 +122,8 @@ class ComponentSpec:
 
     def max_iterate(self) -> int | None:
         """Largest n with data, or None when constant in n."""
-        lengths = [
-            len(v)
-            for v in (self.dim, self.count, self.lefschetz, self.dims)
-            if isinstance(v, (list, tuple))
-        ]
+        values = [getattr(self, key) for key in _iterate_fields(self.kind)]
+        lengths = [len(v) for v in values if isinstance(v, tuple)]
         return min(lengths) if lengths else None
 
     @classmethod

@@ -263,6 +263,15 @@ def test_assemble_report_without_dilatation_has_null_uppers(capsys, tmp_path):
     assert "upper_bound" not in report["entropy_log"]
 
 
+def test_assemble_horizon_ignores_unread_lists(capsys, tmp_path):
+    """Only the lists a kind reads set the data horizon: a dims list on a
+    fixed-a piece is ignored like an unknown key."""
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"components": [{"kind": "fixed-a", "dim": 2, "dims": [1, 2]}]}))
+    payload = payload_of(capsys, ["assemble", "--class", str(spec), "--n", "3"])
+    assert payload["dims"] == [{"n": n, "dim": 2} for n in (1, 2, 3)]
+
+
 def test_docs_class_example_assembles(capsys, tmp_path):
     """The class example in docs/input-formats.md passes assemble --report."""
     section = DOCS.read_text().split("## Class description JSON")[1]
@@ -513,6 +522,12 @@ MALFORMED_FILES = [
         ("components-missing", {"genus": 2}),
         ("component-kind-missing", {"components": [{"dim": 2}]}),
         ("dim-bool", {"components": [{"kind": "fixed-a", "dim": True}]}),
+        ("dim-negative", {"components": [{"kind": "fixed-a", "dim": -5}]}),
+        ("dim-list-negative", {"components": [{"kind": "fixed-a", "dim": [1, -1]}]}),
+        ("dim-list-empty", {"components": [{"kind": "fixed-a", "dim": []}]}),
+        ("count-negative", {"components": [{"kind": "fixed-b", "dim": 1, "prongs": 3, "count": -3}]}),
+        ("count-list-negative", {"components": [{"kind": "fixed-c", "dim": 1, "prongs": 2, "count": [1, -1]}]}),
+        ("count-list-empty", {"components": [{"kind": "fixed-b", "dim": 1, "prongs": 3, "count": []}]}),
         ("component-kind-unknown", {"components": [{"kind": "fixed-q", "dim": 1}]}),
         ("component-kind-pA", _pa(kind="pA")),
         ("component-kind-pseudoAnosov", _pa(kind="pseudoAnosov")),

@@ -249,9 +249,31 @@ def test_component_validation():
         ComponentSpec(kind="pseudo-anosov", dims=(1, -2))
     with pytest.raises(ValueError, match="at least one component"):
         ClassSpec(components=())
+    for bad in (-1, (2, -1)):
+        with pytest.raises(ValueError, match="fixed-a dim must be nonnegative"):
+            ComponentSpec(kind="fixed-a", dim=bad)
+        with pytest.raises(ValueError, match="fixed-c count must be nonnegative"):
+            ComponentSpec(kind="fixed-c", dim=1, prongs=2, count=bad)
+    with pytest.raises(ValueError, match="fixed-a dim list is empty"):
+        ComponentSpec(kind="fixed-a", dim=())
+    with pytest.raises(ValueError, match="fixed-b count list is empty"):
+        ComponentSpec(kind="fixed-b", dim=1, prongs=1, count=[])
+    with pytest.raises(ValueError, match="periodic lefschetz list is empty"):
+        ComponentSpec(kind="periodic", lefschetz=[])
     for bad in (math.inf, math.nan, 0.5, "x", True, [LAM]):
         with pytest.raises(ValueError, match="dilatation must be a finite number >= 1"):
             ComponentSpec(kind="pseudo-anosov", dims=(1, 5, 16), dilatation=bad)
+
+
+def test_unread_fields_are_ignored():
+    """A field its kind does not read is neither checked nor counted toward
+    the data horizon; lefschetz numbers stay signed."""
+    piece = ComponentSpec(kind="fixed-a", dim=2, count=-3, prongs="x", lefschetz=[1, "x"], dims=(1, 2))
+    assert piece.max_iterate() is None
+    assert assemble_dim(ClassSpec(components=(piece,)), 3) == 2
+    fixed_b = ComponentSpec(kind="fixed-b", dim=(1, 1, 1), prongs=3, count=(0, 1), dims=(1,))
+    assert fixed_b.max_iterate() == 2
+    assert ComponentSpec(kind="periodic", lefschetz=(-1, 3), dim=-1).max_iterate() == 2
 
 
 def test_kind_aliases():
