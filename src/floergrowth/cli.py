@@ -2,9 +2,11 @@
 
 Every subcommand reads small JSON or inline descriptions, runs the exact
 machinery, and prints a deterministic JSON payload (or ``--text`` for a
-human-oriented rendering).  Exit codes: 0 success, 2 bad input, 3 when
-``--strict`` was asked for and some result could not be certified, and 4
-when an internal cross-check of a result failed.
+human-oriented rendering).  Exit codes: 0 success, 1 when the reader
+closed stdout before the payload was written, 2 bad input, 3 when
+``--strict`` was asked for and some result could not be certified (the
+payload's ``strict_failure`` says which), and 4 when an internal cross-check
+of a result failed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import contextlib
 import json
 import logging
+import os
 import re
 import sys
 import time
@@ -55,6 +58,7 @@ MAX_ORDER = 128
 MAX_DEPTH = 16
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1  # Python's own status on EPIPE
 EXIT_INPUT = 2
 EXIT_UNCERTIFIED = 3
 EXIT_CROSSCHECK = 4
@@ -109,25 +113,25 @@ def _ring_matrix(rows, rank: int) -> RingMatrix:
 
 
 def _load_endo(args) -> tuple[Endomorphism, tuple[RingMatrix, ...]]:
-    if getattr(args, "map", None):
+    if args.map:
         data = _load_json(args.map)
         with _built_from(args.map):
             f = Endomorphism.from_json(data)
             extras = tuple(_ring_matrix(m, f.rank) for m in data.get("extra_matrices", []))
         return f, extras
-    if getattr(args, "images", None):
+    if args.images:
         parts = [p.strip() for p in re.split(r"[,;]", args.images) if p.strip()]
         return Endomorphism.from_images_text(parts), ()
     raise CLIError("provide --map FILE or --images 'a b, a'")
 
 
 def _load_rep(args, f: Endomorphism, extras) -> Representation:
-    if getattr(args, "rep", None):
+    if args.rep:
         data = _load_json(args.rep)
         with _built_from(args.rep):
             check_block_size(f, as_integer(data["dim"], "dim"), extras)
             return _intertwining(Representation.from_json(data), f)
-    if getattr(args, "modulus", None) is not None:
+    if args.modulus is not None:
         if args.modulus < 2:
             raise CLIError("modulus must be >= 2")
         check_block_size(f, args.modulus ** f.rank, extras)
@@ -151,15 +155,19 @@ def _load_class(path: str) -> ClassSpec:
         return ClassSpec.from_json(data)
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+_EXPECTED = {int: "comma-separated integers", float: "numbers"}
+
+
+def _parse_numbers(text: str, option: str, kind: type = int) -> list:
+    """The comma- or space-separated numbers of an option's value."""
     try:
-        return [int(p) for p in re.split(r"[,\s]+", text.strip()) if p]
+        return [kind(p) for p in re.split(r"[,\s]+", text.strip()) if p]
     except ValueError:
-        raise CLIError(f"{what}: expected comma-separated integers, got {text!r}")
+        raise CLIError(f"{option}: expected {_EXPECTED[kind]}, got {text!r}")
 
 
 def _parse_matrix_2x2(text: str):
-    vals = _parse_int_list(text, "--matrix")
+    vals = _parse_numbers(text, "--matrix")
     if len(vals) != 4:
         raise CLIError("--matrix needs four integers a,b,c,d (row major)")
     return ((vals[0], vals[1]), (vals[2], vals[3]))
@@ -192,6 +200,10 @@ def _coeff_json(c):
     return [c.real, c.imag]
 
 
+def _zeta_certification(rep: Representation) -> str:
+    return "exact" if rep.is_exact() else f"float({CANCEL_TOL:g})"
+
+
 def _rational_json(r: RationalFunction) -> dict:
     m = r.min_root_modulus()
     return {
@@ -205,7 +217,7 @@ def _rational_json(r: RationalFunction) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
-    if getattr(args, "text", False):
+    if args.text:
         for line in _text_lines(payload):
             print(line)
     else:
@@ -232,20 +244,19 @@ def _text_lines(payload, prefix=""):
 
 # -- subcommand handlers -------------------------------------------------------
 
-def _cmd_fox(args) -> tuple[dict, int]:
+def _cmd_fox(args) -> dict:
     f, extras = _load_endo(args)
     jac = jacobian(f)
-    payload = {
+    return {
         "rank": f.rank,
         "images": [w.to_text() for w in f.images],
         "jacobian": [[e.to_text() for e in row] for row in jac.entries],
         "abelianization": [list(row) for row in f.abelianize()],
         "extra_matrices": len(extras),
     }
-    return payload, EXIT_OK
 
 
-def _cmd_trace(args) -> tuple[dict, int]:
+def _cmd_trace(args) -> dict:
     f, extras = _load_endo(args)
     rows = []
     all_certified = True
@@ -262,22 +273,19 @@ def _cmd_trace(args) -> tuple[dict, int]:
             all_certified = all_certified and iv.certified
         rows.append(row)
     payload = {"rows": rows, "arithmetic": "exact"}
-    code = EXIT_OK
     if args.strict and not args.no_interval and not all_certified:
         payload["strict_failure"] = "some interval is not certified"
-        code = EXIT_UNCERTIFIED
-    return payload, code
+    return payload
 
 
-def _cmd_zeta_twisted(args) -> tuple[dict, int]:
+def _cmd_zeta_twisted(args) -> dict:
     f, extras = _load_endo(args)
     rep = _load_rep(args, f, extras)
     zeta = twisted_zeta(f, rep, extras)
-    certification = "exact" if rep.is_exact() else f"float({CANCEL_TOL:g})"
     payload = {
         "zeta": _rational_json(zeta),
         "representation": {"dim": rep.dim, "kind": rep.kind},
-        "certification": certification,
+        "certification": _zeta_certification(rep),
     }
     if args.order:
         series = zeta.series(args.order)
@@ -285,14 +293,12 @@ def _cmd_zeta_twisted(args) -> tuple[dict, int]:
         payload["lefschetz_check"] = [
             _coeff_json(c) for c in twisted_lefschetz(f, rep, min(args.order, 8), extras)
         ]
-    code = EXIT_OK
     if args.strict and not rep.is_exact():
         payload["strict_failure"] = "representation is numerical, zeta is not exact"
-        code = EXIT_UNCERTIFIED
-    return payload, code
+    return payload
 
 
-def _cmd_bounds(args) -> tuple[dict, int]:
+def _cmd_bounds(args) -> dict:
     if args.n < MIN_GROWTH_TERMS:
         raise CLIError(
             f"bounds needs --n of at least {MIN_GROWTH_TERMS} for its sequence estimate"
@@ -308,29 +314,20 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     )
     payload = report.to_json()
     payload["certification"] = {
-        "lower_bound": "exact" if rep.is_exact() else f"float({CANCEL_TOL:g})",
+        "lower_bound": _zeta_certification(rep),
         "upper_bound_norm": "exact",
         "upper_bound_spectral": f"float({SPECTRAL_CROSSCHECK_TOL:g} cross-check)",
         "sequence_estimate": "certified-interval uppers",
     }
-    return payload, EXIT_OK
+    return payload
 
 
-def _cmd_growth(args) -> tuple[dict, int]:
-    try:
-        seq = [float(p) for p in re.split(r"[,\s]+", args.seq.strip()) if p]
-    except ValueError:
-        raise CLIError(f"--seq: expected numbers, got {args.seq!r}")
-    est = growth_estimate(seq)
-    payload = {
-        "estimate": est.value,
-        "window_start": est.window_start,
-        "n_terms": est.n_terms,
-    }
-    return payload, EXIT_OK
+def _cmd_growth(args) -> dict:
+    est = growth_estimate(_parse_numbers(args.seq, "--seq", float))
+    return {"estimate": est.value, "window_start": est.window_start, "n_terms": est.n_terms}
 
 
-def _cmd_periodic_zeta(args) -> tuple[dict, int]:
+def _cmd_periodic_zeta(args) -> dict:
     if args.class_file:
         rr = periodic_zeta_for_class(_load_class(args.class_file), args.period)
     elif args.dims:
@@ -342,10 +339,10 @@ def _cmd_periodic_zeta(args) -> tuple[dict, int]:
     if args.order:
         payload["expansion"] = [str(c) for c in rr.expand(args.order).coeffs]
     payload["certification"] = "exact"
-    return payload, EXIT_OK
+    return payload
 
 
-def _cmd_torus(args) -> tuple[dict, int]:
+def _cmd_torus(args) -> dict:
     a = _parse_matrix_2x2(args.matrix)
     hyperbolic = is_hyperbolic(a)
     rows = []
@@ -365,10 +362,10 @@ def _cmd_torus(args) -> tuple[dict, int]:
         payload["symplectic_zeta"] = torus_symplectic_zeta(a).to_text()
     else:
         payload["note"] = "map is not hyperbolic; fixed-point counts omitted"
-    return payload, EXIT_OK
+    return payload
 
 
-def _cmd_assemble(args) -> tuple[dict, int]:
+def _cmd_assemble(args) -> dict:
     spec = _load_class(args.class_file)
     payload: dict = {"components": len(spec.components)}
     limit = spec.max_iterate()
@@ -382,11 +379,13 @@ def _cmd_assemble(args) -> tuple[dict, int]:
         payload["report"] = asymptotic_invariant(spec, max(horizon, MIN_GROWTH_TERMS)).to_json()
     if args.graph_test:
         payload["graph_test"] = graph_manifold_test(spec).to_json()
-    return payload, EXIT_OK
+    return payload
 
 
-def _cmd_series(args) -> tuple[dict, int]:
-    dims = _parse_int_list(args.dims, "--dims")
+def _cmd_series(args) -> dict:
+    dims = _parse_numbers(args.dims, "--dims")
+    if any(d < 0 for d in dims):
+        raise CLIError(f"--dims: entries must be nonnegative, got {args.dims!r}")
     order = args.order if args.order else len(dims)
     if order > len(dims):
         raise CLIError(f"--order {order} needs {order} dims, got {len(dims)}")
@@ -398,20 +397,7 @@ def _cmd_series(args) -> tuple[dict, int]:
     }
     if len(dims) >= MIN_GROWTH_TERMS:
         payload["radius_estimate"] = radius_estimate(dims)
-    return payload, EXIT_OK
-
-
-_DISPATCH = {
-    "fox": _cmd_fox,
-    "trace": _cmd_trace,
-    "zeta-twisted": _cmd_zeta_twisted,
-    "bounds": _cmd_bounds,
-    "growth": _cmd_growth,
-    "periodic-zeta": _cmd_periodic_zeta,
-    "torus": _cmd_torus,
-    "assemble": _cmd_assemble,
-    "series": _cmd_series,
-}
+    return payload
 
 
 # -- parser --------------------------------------------------------------------
@@ -443,9 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fox", help="jacobian and abelianization of a map")
+    p.set_defaults(handler=_cmd_fox)
     _add_map_options(p)
 
     p = sub.add_parser("trace", help="iterate traces with certified norm intervals")
+    p.set_defaults(handler=_cmd_trace)
     _add_map_options(p)
     p.add_argument("--n", type=int, default=4, help="compute iterates 1..N")
     p.add_argument(
@@ -455,12 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="exit 3 unless certified")
 
     p = sub.add_parser("zeta-twisted", help="twisted zeta of a map and representation")
+    p.set_defaults(handler=_cmd_zeta_twisted)
     _add_map_options(p)
     _add_rep_options(p)
     p.add_argument("--order", type=int, default=0, help="also print the series")
     p.add_argument("--strict", action="store_true", help="exit 3 unless exact")
 
     p = sub.add_parser("bounds", help="growth bound sandwich for a map")
+    p.set_defaults(handler=_cmd_bounds)
     _add_map_options(p)
     _add_rep_options(p)
     p.add_argument("--n", type=int, default=6, help="iterates for the sequence proxy")
@@ -469,9 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("growth", help="tail-window growth proxy of a sequence")
+    p.set_defaults(handler=_cmd_growth)
     p.add_argument("--seq", required=True, help="comma-separated values")
 
     p = sub.add_parser("periodic-zeta", help="radical closed form for periodic maps")
+    p.set_defaults(handler=_cmd_periodic_zeta)
     p.add_argument("--period", type=int, required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--dims", help="dimensions at divisor iterates, 'd:value,...'")
@@ -479,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=0, help="also print the expansion")
 
     p = sub.add_parser("torus", help="closed-form counts and zetas on the torus")
+    p.set_defaults(handler=_cmd_torus)
     p.add_argument(
         "--matrix",
         required=True,
@@ -488,12 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6, help="iterates 1..N")
 
     p = sub.add_parser("assemble", help="iterate dimensions of a reducible class")
+    p.set_defaults(handler=_cmd_assemble)
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--n", type=int, help="iterates 1..N (default from data)")
     p.add_argument("--report", action="store_true", help="include the growth report")
     p.add_argument("--graph-test", action="store_true", help="include the graph test")
 
     p = sub.add_parser("series", help="exact zeta series from an iterate-dim sequence")
+    p.set_defaults(handler=_cmd_series)
     p.add_argument("--dims", required=True, help="comma-separated dimensions")
     p.add_argument("--order", type=int, default=0)
 
@@ -540,7 +535,7 @@ def run(argv=None) -> int:
         _validate_limits(args)
         start = time.perf_counter()
         with _library_log(args.verbose):
-            payload, code = _DISPATCH[args.command](args)
+            payload = args.handler(args)
         if args.verbose:
             print(f"[{args.command}] {time.perf_counter() - start:.3f}s", file=sys.stderr)
     except (ValueError, KeyError, OSError) as e:
@@ -549,8 +544,14 @@ def run(argv=None) -> int:
     except CrossCheckError as e:
         print(f"error: cross-check failed: {e}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    _emit(payload, args)
-    return code
+    try:
+        _emit(payload, args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # stdout goes to devnull, so the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return EXIT_UNCERTIFIED if "strict_failure" in payload else EXIT_OK
 
 
 def main() -> None:

@@ -181,8 +181,8 @@ class Endomorphism:
         return cls(rank, tuple(Word((i,)) for i in range(1, rank + 1)))
 
     @classmethod
-    def from_images_text(cls, images: Sequence[str], rank: int | None = None) -> "Endomorphism":
-        rank = len(images) if rank is None else rank
+    def from_images_text(cls, images: Sequence[str]) -> "Endomorphism":
+        rank = len(images)
         return cls(rank, tuple(Word.parse(s, rank) for s in images))
 
     def apply(self, w: Word) -> Word:
@@ -239,24 +239,19 @@ def mat_identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
     if n < 0:
         raise ValueError("negative power")
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("shape mismatch")
     out = mat_identity(len(a))
     base = a
     while n:
         if n & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
+            out = sparse_mat_mul(sparse_rows(out), base)
+        base = sparse_mat_mul(sparse_rows(base), base)
         n >>= 1
-    return out
+    return tuple(map(tuple, out))
 
 
 def sparse_rows(a: Sequence[Sequence]) -> list[list[tuple]]:

@@ -14,7 +14,7 @@ Euler-characteristic shortcuts for computing them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .freegroup import as_integer
 from .growth import MIN_GROWTH_TERMS, GrowthReport, growth_estimate
@@ -128,15 +128,11 @@ class ComponentSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ComponentSpec":
-        return cls(
-            kind=data["kind"],
-            dim=data.get("dim"),
-            prongs=data.get("prongs"),
-            count=data.get("count", 1),
-            lefschetz=data.get("lefschetz"),
-            dims=data.get("dims"),
-            dilatation=data.get("dilatation"),
-        )
+        """Absent fields take their defaults and unknown keys are ignored; kind
+        is looked up first, so a missing kind is reported by name."""
+        kind = data["kind"]
+        rest = fields(cls)[1:]  # every field after kind
+        return cls(kind, **{f.name: data[f.name] for f in rest if f.name in data})
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ remainder.  Everything runs on Python ints, so there is no overflow.
 
 from __future__ import annotations
 
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from .freegroup import mat_identity
 
 
 def smith_normal_form(mat):
@@ -26,7 +24,7 @@ def smith_normal_form(mat):
     a = [[int(x) for x in row] for row in mat]
     if any(len(row) != cols for row in a):
         raise ValueError("ragged matrix")
-    p, q = _identity(rows), _identity(cols)
+    p, q = ([list(r) for r in mat_identity(k)] for k in (rows, cols))
 
     def add_row(src, dst, c):
         for m in (a, p):

@@ -2,10 +2,11 @@
 
 For an integer 2x2 matrix A with det(A^n - I) nonzero, the induced n-th
 power map on the torus has d1 d2 fixed points, the product of the Smith
-diagonal of A^n - I.  That product is checked against |det(A^n - I)| from
-the 2x2 formula, and disagreement is a hard error.  The tests check the
-counts from outside: through punctured-torus Reidemeister trace norms, and
-against a Fraction enumeration of the fixed points.
+diagonal of A^n - I.  That product is checked against |det(A^n - I)|, which
+for a 2x2 matrix is the absolute Lefschetz number |det(I - A^n)|, and
+disagreement is a hard error.  The tests check the counts from outside:
+through punctured-torus Reidemeister trace norms, and against a Fraction
+enumeration of the fixed points.
 """
 
 from __future__ import annotations
@@ -27,16 +28,13 @@ def lefschetz_number(a: IntMatrix, n: int) -> int:
 def fixed_point_count(a: IntMatrix, n: int) -> int:
     """The Smith diagonal product of A^n - I, checked against |det(A^n - I)|.
 
-    A singular A^n - I (non-isolated fixed points) is rejected.
+    For a 2x2 matrix det(A^n - I) = det(I - A^n), the Lefschetz number.  A
+    singular A^n - I (non-isolated fixed points) is rejected.
     """
-    _check_2x2(a)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = mat_sub(mat_pow(a, n), mat_identity(2))
-    _, det = _trace_det(m)
+    det = lefschetz_number(a, n)
     if det == 0:
         raise ValueError(f"A^{n} - I is singular: fixed points are not isolated")
-    (d1, d2), _, _ = smith_normal_form(m)
+    (d1, d2), _, _ = smith_normal_form(mat_sub(mat_pow(a, n), mat_identity(2)))
     if d1 * d2 != abs(det):
         raise CrossCheckError("Smith diagonal product disagrees with the determinant")
     return d1 * d2

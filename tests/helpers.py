@@ -265,6 +265,49 @@ def reference_det(a) -> int:
     )
 
 
+def mat_mul(a, b) -> tuple:
+    """The integer matrix product, each entry a row-times-column sum."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def exp_of_lefschetz(lefs, order: int, exact: bool = True) -> list:
+    """exp(sum L_n t^n / n) via the recurrence k c_k = sum_j L_j c_{k-j}."""
+    c = [Fraction(1) if exact else complex(1)]
+    for k in range(1, order + 1):
+        acc = sum(lefs[j - 1] * c[k - j] for j in range(1, k + 1))
+        c.append(Fraction(acc, k) if exact else acc / k)
+    return c
+
+
+def elem(text: str) -> RingElem:
+    return RingElem.parse(text)
+
+
+# Elementary Nielsen automorphisms of F(a, b), as the images of a and b; their
+# compositions are automorphisms.  Seeded draws index into this list, so its
+# order is part of every such test.
+NIELSEN_MOVES = [
+    ("a b", "b"), ("b a", "b"), ("a B", "b"), ("B a", "b"),
+    ("a", "b a"), ("a", "a b"), ("a", "b A"), ("a", "A b"),
+    ("b", "a"), ("A", "b"), ("a", "B"),
+]
+
+
+def chain_twist(i: int, rank: int, inverse: bool = False) -> Endomorphism:
+    """The Dehn twist T_i about the i-th curve of a chain, on the free group
+    of the chain's cores x_1..x_rank: x_(i-1) -> x_(i-1) x_i and
+    x_(i+1) -> x_i^-1 x_(i+1), the other generators fixed.  The inverse twist
+    puts x_i^-1 in place of x_i."""
+    x = -i if inverse else i
+    images = {i - 1: (i - 1, x), i + 1: (-x, i + 1)}
+    return Endomorphism(
+        rank, tuple(Word(images.get(j, (j,))) for j in range(1, rank + 1))
+    )
+
+
 def reference_strong_components(mat) -> set[frozenset[int]]:
     """Strong components by brute force: each vertex's reach set by search,
     then i and j share a component when each reaches the other."""

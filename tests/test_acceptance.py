@@ -49,7 +49,7 @@ from floergrowth.zetafns import (
     symplectic_zeta_series,
     torus_symplectic_zeta,
 )
-from helpers import random_endo, random_reduced_word
+from helpers import exp_of_lefschetz, random_endo, random_reduced_word
 
 CORPUS = {
     "identity2": Endomorphism.from_images_text(["a", "b"]),
@@ -69,15 +69,6 @@ LAM = (3 + math.sqrt(5)) / 2
 def verdict(number: int, ok: bool, detail: str) -> None:
     print(f"criterion {number:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {number:02d} failed: {detail}"
-
-
-def exp_of_lefschetz(lefs, order, exact=True):
-    """exp(sum L_n t^n / n) via the recurrence k c_k = sum_j L_j c_{k-j}."""
-    c = [Fraction(1) if exact else complex(1)]
-    for k in range(1, order + 1):
-        acc = sum(lefs[j - 1] * c[k - j] for j in range(1, k + 1))
-        c.append(Fraction(acc, k) if exact else acc / k)
-    return c
 
 
 @functools.lru_cache(maxsize=1)

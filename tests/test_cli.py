@@ -409,6 +409,9 @@ def test_bad_input_reporting(capsys, tmp_path):
     cases = [
         (["series", "--dims", "1,2.5,3"], "--dims: expected comma-separated integers"),
         (["growth", "--seq", "1,x"], "--seq: expected numbers"),
+        # too short for the radius proxy, and long enough for it
+        (["series", "--dims=-1,2"], "--dims: entries must be nonnegative"),
+        (["series", "--dims=-1,2,3"], "--dims: entries must be nonnegative"),
         (["periodic-zeta", "--period", "2"], "provide --dims 'd:value,...' or --class FILE"),
         (["periodic-zeta", "--period", "2", "--dims", "1:x,2:3"], "--dims entries look like 'd:value', got '1:x'"),
         (["periodic-zeta", "--period", "2", "--dims", "1:2,1:3,2:4"], "--dims gives divisor 1 twice"),
@@ -805,13 +808,37 @@ def test_numpy_only_on_the_float_lane(tmp_path):
         ["assemble", "--class", str(spec), "--report", "--graph-test"],
         ["growth", "--seq", "1,2,4,8"],
     ]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, json.dumps(commands)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_subprocess_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _subprocess_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_reader_closing_early_exits_1_quietly():
+    """A reader that stops after a few bytes, as `| head -c 10` does, ends
+    the command with exit 1, Python's status on EPIPE, and nothing on
+    stderr.  The payload is larger than a pipe holds (64 KiB), so the write
+    meets the closed pipe."""
+    argv = ["trace", "--images", "a a b, a b", "--n", "6", "--no-interval"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "floergrowth.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_subprocess_env(),
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "arith'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -14,11 +14,7 @@ from floergrowth.foxcalc import (
     jacobian,
 )
 from floergrowth.freegroup import Word
-from helpers import random_endo, random_reduced_word, reduced_words
-
-
-def elem(text: str) -> RingElem:
-    return RingElem.parse(text)
+from helpers import elem, random_endo, random_reduced_word, reduced_words
 
 
 def test_derivative_of_single_letters():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floergrowth.freegroup import MAX_PARSED_LETTERS, Endomorphism, Word, mat_mul
+from floergrowth.freegroup import MAX_PARSED_LETTERS, Endomorphism, Word, mat_pow
 from helpers import (
     fibonacci,
+    mat_mul,
     random_endo,
     random_reduced_word,
     reduced_words,
@@ -144,6 +145,20 @@ def test_abelianize_composition_order(golden, swap):
         f = random_endo(rng, rank, 4)
         g = random_endo(rng, rank, 4)
         assert f.compose(g).abelianize() == mat_mul(g.abelianize(), f.abelianize())
+
+
+def test_mat_pow_matches_repeated_products():
+    rng = random.Random(61)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        a = tuple(tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(k))
+        want = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        for n in range(6):
+            assert mat_pow(a, n) == want
+            want = mat_mul(want, a)
+    for bad in (((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4), (5, 6))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mat_pow(bad, 2)
 
 
 def test_endomorphism_json_roundtrip(golden):

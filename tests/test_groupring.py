@@ -21,6 +21,7 @@ from floergrowth.groupring import (
     reidemeister_trace,
 )
 from helpers import (
+    elem,
     endomorphisms,
     lucas,
     random_endo,
@@ -29,10 +30,6 @@ from helpers import (
     reference_twisted_power,
     ring_elems,
 )
-
-
-def elem(text: str) -> RingElem:
-    return RingElem.parse(text)
 
 
 def m1(text: str) -> RingMatrix:

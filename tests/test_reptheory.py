@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floergrowth.foxcalc import RingElem, RingMatrix, chain_matrices, jacobian
-from floergrowth.freegroup import Endomorphism, Word, mat_mul, mat_pow, mat_trace
+from floergrowth.freegroup import Endomorphism, Word, mat_pow, mat_trace
 from floergrowth.groupring import reidemeister_interval, reidemeister_trace
 from floergrowth.ratfunc import CANCEL_TOL
 from floergrowth.reptheory import (
@@ -23,7 +22,14 @@ from floergrowth.reptheory import (
     twisted_zeta,
     validate_rep,
 )
-from helpers import endomorphisms, random_endo, reference_det
+from helpers import (
+    NIELSEN_MOVES,
+    endomorphisms,
+    exp_of_lefschetz,
+    mat_mul,
+    random_endo,
+    reference_det,
+)
 
 
 def dense(rows):
@@ -52,21 +58,9 @@ def log_derivative(series):
     return out
 
 
-# Elementary Nielsen automorphisms of F(a, b); their compositions are
-# automorphisms, so every abelian quotient representation exists.
-NIELSEN = [
-    Endomorphism.from_images_text(images)
-    for images in (["a b", "b"], ["b a", "b"], ["A", "b"], ["b", "a"], ["a", "b a"], ["a", "B"])
-]
-
-
-def exp_series(lefschetz_values, order, exact):
-    """Solve k c_k = sum_j L_j c_{k-j} for the exponential of sum L_n t^n / n."""
-    c = [Fraction(1) if exact else complex(1)]
-    for k in range(1, order + 1):
-        acc = sum(lefschetz_values[j - 1] * c[k - j] for j in range(1, k + 1))
-        c.append(acc / k if not exact else Fraction(acc, k))
-    return c
+# Compositions of Nielsen moves are automorphisms, so every abelian quotient
+# representation exists.
+NIELSEN = [Endomorphism.from_images_text(list(images)) for images in NIELSEN_MOVES]
 
 
 def test_trivial_representation_basics(golden):
@@ -218,7 +212,7 @@ def test_zeta_series_matches_lefschetz(corpus):
     for name, f in corpus.items():
         for rep in (trivial_representation(f.rank), abelian_quotient_rep(f, moduli[name])):
             zeta = twisted_zeta(f, rep)
-            want = exp_series(twisted_lefschetz(f, rep, order), order, exact=True)
+            want = exp_of_lefschetz(twisted_lefschetz(f, rep, order), order, exact=True)
             got = zeta.series(order)
             assert list(got) == want
 
@@ -231,7 +225,7 @@ def test_zeta_series_matches_lefschetz_unitary(doubling):
     ok, _ = validate_rep(rep, doubling)
     assert ok
     zeta = twisted_zeta(doubling, rep)
-    want = exp_series(twisted_lefschetz(doubling, rep, order), order, exact=False)
+    want = exp_of_lefschetz(twisted_lefschetz(doubling, rep, order), order, exact=False)
     got = zeta.series(order)
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-8
 
@@ -284,7 +278,7 @@ def test_twisted_zeta_with_extra_matrix(doubling):
     order = 10
     zeta = twisted_zeta(doubling, rep, extra_matrices=(extra,))
     lefs = twisted_lefschetz(doubling, rep, order, extra_matrices=(extra,))
-    assert list(zeta.series(order)) == exp_series(lefs, order, exact=True)
+    assert list(zeta.series(order)) == exp_of_lefschetz(lefs, order, exact=True)
     # degree 2 is even, so the new block multiplies the denominator
     assert zeta.denominator != twisted_zeta(doubling, rep).denominator
 

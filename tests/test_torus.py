@@ -17,7 +17,7 @@ from floergrowth.zetafns import (
     symplectic_zeta_series,
     torus_symplectic_zeta,
 )
-from helpers import det2_of_power_minus_identity, reference_torus_points
+from helpers import NIELSEN_MOVES, det2_of_power_minus_identity, reference_torus_points
 
 ANOSOV = ((2, 1), (1, 1))
 FIB_MAT = ((0, 1), (1, 1))
@@ -115,12 +115,6 @@ def test_nielsen_matches_zeta_series():
         assert torus_symplectic_zeta(a).series(order) == want
 
 
-# Elementary Nielsen automorphisms of F_2, as the images of a and b.
-NIELSEN_MOVES = [
-    ("a b", "b"), ("b a", "b"), ("a B", "b"), ("B a", "b"),
-    ("a", "b a"), ("a", "a b"), ("a", "b A"), ("a", "A b"),
-    ("b", "a"), ("A", "b"), ("a", "B"),
-]
 ORACLE_MAX_STATES = 500
 
 
