@@ -384,6 +384,8 @@ def _cmd_assemble(args) -> dict:
 
 def _cmd_series(args) -> dict:
     dims = _parse_numbers(args.dims, "--dims")
+    if not dims:
+        raise CLIError("--dims is empty")
     if any(d < 0 for d in dims):
         raise CLIError(f"--dims: entries must be nonnegative, got {args.dims!r}")
     order = args.order if args.order else len(dims)

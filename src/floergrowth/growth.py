@@ -74,8 +74,7 @@ def _block_root_modulus(block) -> float:
     """Max root modulus of an irreducible block of size >= 2: 1 / the least
     root modulus of det(I - tB), which has a root (the block has a cycle, so
     its radius is positive) and none at 0 (its constant term is 1)."""
-    roots = poly_roots([float(c) for c in det_one_minus_t(block)])
-    return float(max(abs(1.0 / w) for w in roots))
+    return 1.0 / min(abs(w) for w in poly_roots(det_one_minus_t(block)))
 
 
 def _block_power_iteration(block) -> float:
@@ -85,19 +84,17 @@ def _block_power_iteration(block) -> float:
     strictly positive and max_i (Bv)_i / v_i and min_i bracket the Perron
     root from both sides, closing geometrically.
     """
-    import numpy as np
-
-    k = len(block)
-    b = np.array(block, dtype=float) + np.eye(k)
-    v = np.ones(k)
+    rows = [[float(x) + (i == j) for j, x in enumerate(row)] for i, row in enumerate(block)]
+    v = [1.0] * len(rows)
     lo, hi = 0.0, float("inf")
     for _ in range(200000):
-        w = b @ v
-        ratios = w / v
-        lo, hi = float(ratios.min()), float(ratios.max())
+        w = [sum(a * x for a, x in zip(row, v)) for row in rows]
+        ratios = [a / b for a, b in zip(w, v)]
+        lo, hi = min(ratios), max(ratios)
         if hi - lo <= 1e-13 * max(1.0, hi):
             break
-        v = w / float(w.max())
+        top = max(w)
+        v = [a / top for a in w]
     return (lo + hi) / 2.0 - 1.0
 
 

@@ -12,7 +12,9 @@ appear at the root-finding boundary.
 from __future__ import annotations
 
 import logging
+import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -23,6 +25,9 @@ log = logging.getLogger(__name__)
 
 ROOT_RESIDUAL_TOL = 1e-8
 CANCEL_TOL = 1e-6
+MAX_ROOT_SWEEPS = 500
+_EPS = sys.float_info.epsilon
+_STOP_ULPS = 4  # poly_roots's stopping tolerances, in units of rounding
 
 
 class CrossCheckError(RuntimeError):
@@ -132,19 +137,101 @@ def det_one_minus_t(mat: Sequence[Sequence]):
 
 def poly_roots(coeffs):
     """Roots of the polynomial with the given coefficients (constant term
-    first), as numpy returns them.  This is the package's one float root
-    finder; numpy picks its real or complex solver from the coefficients."""
-    import numpy as np
+    first), as a list of complex numbers.  Zero top coefficients are dropped
+    and each zero low coefficient gives a root at 0, so a polynomial of
+    degree m has m roots.  This is the package's one float root finder.
 
-    return np.roots(np.array(coeffs[::-1]))
+    Aberth-Ehrlich simultaneous iteration (Aberth, Math. Comp. 27, 1973) in
+    complex doubles, started on the circle of radius (|a_0|/|a_m|)^(1/m).
+    Horner gives the value and the derivative, on the reversed polynomial at
+    1/x when |x| > 1 so that no power of x overflows.  Each sweep moves every
+    root still active by its Aberth step.  A root leaves the sweeps once its
+    residual before the step is within _STOP_ULPS units of Horner's rounding
+    bound eps * sum |a_i| |x|^i, or its step within _STOP_ULPS units of
+    eps * |x|.  A root still moving after MAX_ROOT_SWEEPS sweeps raises
+    CrossCheckError.
+    """
+    p = [complex(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    zeros = 0
+    while zeros < len(p) and p[zeros] == 0:
+        zeros += 1
+    p = p[zeros:]
+    m = len(p) - 1
+    if m < 1:
+        return [0j] * zeros
+    radius = (abs(p[0]) / abs(p[-1])) ** (1.0 / m)
+    # the offset keeps every start off the real axis
+    angles = [2 * math.pi * k / m + 0.4 for k in range(m)]
+    x = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
+    top_first = [(c, abs(c)) for c in reversed(p)]
+    low_first = top_first[::-1]
+    active = range(m)
+    for _ in range(MAX_ROOT_SWEEPS):
+        moving = []
+        for k in active:
+            z = x[k]
+            outside = abs(z) > 1.0
+            y = 1 / z if outside else z
+            val = der = 0j
+            bound = 0.0
+            ay = abs(y)
+            for c, a in low_first if outside else top_first:
+                der = der * y + val
+                val = val * y + c
+                bound = bound * ay + a
+            if val == 0:  # an exact root, perhaps a multiple one where p' = 0 too
+                continue
+            # p(z) / (p'(z) - p(z) * sum_j 1/(z - x_j)), with p'(z) read from
+            # the reversed polynomial when |z| > 1
+            slope = y * (m * val - y * der) if outside else der
+            step = val / (slope - val * sum(1 / (z - w) for w in x if w != z))
+            x[k] = z - step
+            if abs(val) > _STOP_ULPS * _EPS * bound and abs(step) > _STOP_ULPS * _EPS * abs(z):
+                moving.append(k)
+        if not moving:
+            return x + [0j] * zeros
+        active = moving
+    raise CrossCheckError(
+        f"root finder: {len(active)} of {m} roots still moving after {MAX_ROOT_SWEEPS} sweeps"
+    )
 
 
 def _roots_nonzero(p):
     """Roots of a polynomial with nonzero constant term, with residuals."""
     p = [complex(c) for c in p]
     scale = max(abs(c) for c in p)
-    out = [(complex(w), abs(poly_eval(p, complex(w))) / scale) for w in poly_roots(p)]
+    out = [(w, abs(poly_eval(p, w)) / scale) for w in poly_roots(p)]
     return sorted(out, key=lambda rw: (abs(rw[0]), rw[0].real, rw[0].imag))
+
+
+def _newton_step(p, x):
+    """x - p(x)/p'(x); x itself where p or p' vanishes."""
+    val = der = 0j
+    for c in reversed(p):
+        der = der * x + val
+        val = val * x + c
+    return x - val / der if val and der else x
+
+
+def _deflate(p, w):
+    """p / (1 - t/w) by composite synthetic division (Peters and Wilkinson,
+    1971): up from the constant term below the largest term of p on
+    |t| = |w|, down from the top from there on, so neither recurrence
+    amplifies rounding.  The constant term stays exactly 1; the remainder,
+    p(w)/w^m, is dropped at the join."""
+    m = len(p) - 1
+    log_w = math.log(abs(w))
+    join = max(range(1, m + 1), key=lambda k: math.log(abs(p[k])) + k * log_w if p[k] else -math.inf)
+    q = [p[0]] + [0j] * (m - 1)
+    for k in range(1, join):
+        q[k] = p[k] + q[k - 1] / w
+    if join < m:
+        q[m - 1] = -w * p[m]
+        for k in range(m - 1, join, -1):
+            q[k - 1] = w * (q[k] - p[k])
+    return q
 
 
 def _exact_coefficients(coeffs) -> bool:
@@ -181,7 +268,9 @@ class RationalFunction:
     @classmethod
     def from_parts(cls, num, den) -> "RationalFunction":
         """num/den with common factors cancelled: by polynomial gcd when every
-        coefficient is an int or a Fraction, by root matching otherwise."""
+        coefficient is an int or a Fraction, otherwise by root matching,
+        each matched pair's linear factor divided out of the given
+        coefficients."""
         if _exact_coefficients((*num, *den)):
             num = tuple(Fraction(c) for c in _trim(num))
             den = tuple(Fraction(c) for c in _trim(den))
@@ -192,31 +281,30 @@ class RationalFunction:
                 den, _ = _poly_divmod_exact(den, g)
                 log.info("cancelled a common factor of degree %d", poly_degree(g))
             return cls(tuple(num), tuple(den))
+        num = [complex(c) for c in _trim(num)]
+        den = [complex(c) for c in _trim(den)]
         rn = [w for w, _ in _roots_nonzero(num)]
         rd = [w for w, _ in _roots_nonzero(den)]
         cancelled = []
         kept_d = list(rd)
-        kept_n = []
         for w in rn:
-            hit = None
-            for i, v in enumerate(kept_d):
-                if abs(w - v) <= CANCEL_TOL:
-                    hit = i
-                    break
-            if hit is None:
-                kept_n.append(w)
-            else:
+            hit = next((i for i, v in enumerate(kept_d) if abs(w - v) <= CANCEL_TOL), None)
+            if hit is not None:
                 cancelled.append((w, kept_d.pop(hit)))
+        for w, v in cancelled:
+            # One divisor for both parts keeps the series of their ratio.  A
+            # Newton step on a part as deflated so far sharpens the rest of a
+            # root cluster; of the pair and its two Newton images, the point
+            # where the larger dropped remainder is least is the divisor.
+            x = min(
+                (w, v, _newton_step(num, w), _newton_step(den, v)),
+                key=lambda x: max(abs(poly_eval(num, x)), abs(poly_eval(den, x))),
+            )
+            num = _deflate(num, x)
+            den = _deflate(den, x)
         if cancelled:
             log.info("cancelled %d near-common root pair(s)", len(cancelled))
-
-        def rebuild(roots):
-            p = [complex(1)]
-            for w in roots:
-                p = list(poly_mul(p, (complex(1), complex(-1) / w)))
-            return tuple(p)
-
-        return cls(rebuild(kept_n), rebuild(kept_d), cancelled=tuple(cancelled))
+        return cls(tuple(num), tuple(den), cancelled=tuple(cancelled))
 
     def reciprocal(self) -> "RationalFunction":
         return RationalFunction(self.denominator, self.numerator, self.cancelled)

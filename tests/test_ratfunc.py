@@ -1,9 +1,12 @@
 """Rational functions in t with certified root bookkeeping."""
 
+import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floergrowth import ratfunc
@@ -14,6 +17,7 @@ from floergrowth.ratfunc import (
     poly_eval,
     poly_gcd_exact,
     poly_mul,
+    poly_roots,
 )
 
 
@@ -170,3 +174,136 @@ def test_to_text():
     assert rf.to_text() == "(1 - 2 t) / (1 - t)"
     sq = RationalFunction.from_parts((1, -2, 1), (1,))
     assert sq.to_text() == "(1 - 2 t + t^2) / (1)"
+
+
+# poly_roots against np.roots, which serves only as a test oracle
+
+COEFFICIENT_LISTS = st.one_of(
+    st.lists(st.integers(-100, 100), min_size=2, max_size=65),
+    st.lists(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=10, allow_nan=False, allow_infinity=False),
+        min_size=2,
+        max_size=65,
+    ),
+)
+
+
+def numpy_roots(coeffs):
+    return [complex(w) for w in np.roots(np.array(coeffs[::-1], dtype=complex))]
+
+
+def condition(coeffs, w):
+    """Horner's rounding bound at a root over |p'(w)| max(1, |w|): the
+    growth of a relative coefficient error into the root's error."""
+    bound = sum(abs(c) * abs(w) ** i for i, c in enumerate(coeffs))
+    slope = sum(i * c * w ** (i - 1) for i, c in enumerate(coeffs) if i)
+    return bound / (abs(slope) * max(1.0, abs(w))) if slope else math.inf
+
+
+def assert_same_multiset(got, want, tol):
+    """Each got root takes the nearest unused want root, within
+    tol * max(1, |root|)."""
+    want = list(want)
+    assert len(got) == len(want)
+    for w in got:
+        i = min(range(len(want)), key=lambda i: abs(want[i] - w))
+        assert abs(want.pop(i) - w) <= tol * max(1.0, abs(w)), (w, got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(COEFFICIENT_LISTS)
+def test_poly_roots_match_numpy_on_simple_roots(coeffs):
+    """Random integer and complex polynomials of degree 1-64 whose roots are
+    simple (condition at most 1e4) give numpy's roots within 1e-9."""
+    assume(coeffs[0] != 0 and coeffs[-1] != 0)
+    want = numpy_roots(coeffs)
+    assume(all(condition(coeffs, w) <= 1e4 for w in want))
+    assert_same_multiset(poly_roots(coeffs), want, 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(COEFFICIENT_LISTS.filter(lambda c: len(c) <= 25 and c[0] != 0 and c[-1] != 0))
+def test_poly_roots_rebuild_the_coefficients(coeffs):
+    """a_0 times the product of (1 - t/w) over the roots gives the
+    coefficients back within 1e-8 max |a_i|.  Degrees stop at 24: past
+    that the product itself cancels so much that np.roots's roots miss
+    this bar too (1e-5 at degree 48, 0.2 at degree 64)."""
+    prod = [complex(coeffs[0])]
+    for w in poly_roots(coeffs):
+        prod = list(poly_mul(prod, (1, -1 / w)))
+    scale = max(abs(c) for c in coeffs)
+    assert max(abs(a - b) for a, b in zip(prod, coeffs)) <= 1e-8 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=12), st.integers(0, 5), st.integers(0, 3))
+def test_poly_roots_zero_coefficients_like_numpy(coeffs, low_zeros, high_zeros):
+    """Zero coefficients below the lowest nonzero one give roots at 0 and
+    zero top coefficients are dropped, so the root count and the number
+    of zero roots are numpy's."""
+    p = [0] * low_zeros + coeffs + [0] * high_zeros
+    got, want = poly_roots(p), numpy_roots(p)
+    assert len(got) == len(want)
+    assert sum(w == 0 for w in got) == sum(w == 0 for w in want)
+
+
+def cyclotomic(n):
+    """Integer coefficients of the n-th cyclotomic polynomial, constant term
+    first: t^n - 1 divided by every Phi_d for d a proper divisor of n."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            q = cyclotomic(d)
+            quot = [0] * (len(p) - len(q) + 1)
+            for k in range(len(quot) - 1, -1, -1):
+                quot[k] = p[k + len(q) - 1]  # Phi_d is monic
+                for i, x in enumerate(q):
+                    p[k + i] -= quot[k] * x
+            p = quot
+    return p
+
+
+def primitive_roots_of_unity(n):
+    return [cmath.exp(2j * math.pi * k / n) for k in range(n) if math.gcd(k, n) == 1]
+
+
+def test_poly_roots_of_repeated_factors():
+    """(1 - t)^2 (1 + t)^3: a root of multiplicity k is found only to about
+    eps^(1/k), so every root lies within 1e-4 of its true value."""
+    p = poly_mul(poly_mul((1, -2, 1), (1, 1)), (1, 2, 1))
+    assert_same_multiset(poly_roots(p), [1, 1, -1, -1, -1], 1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), st.integers(1, 2), min_size=1))
+def test_poly_roots_of_cyclotomic_products(multiplicity):
+    """Products of cyclotomic polynomials, each at most squared, give every
+    root of unity within 1e-4."""
+    p, truth = (1,), []
+    for n, k in multiplicity.items():
+        for _ in range(k):
+            p = poly_mul(p, cyclotomic(n))
+            truth += primitive_roots_of_unity(n)
+    assert_same_multiset(poly_roots(p), truth, 1e-4)
+
+
+def test_poly_roots_sweep_cap_raises(monkeypatch):
+    """Roots still moving when the sweeps run out are an error, never a
+    silent answer."""
+    monkeypatch.setattr(ratfunc, "MAX_ROOT_SWEEPS", 1)
+    with pytest.raises(CrossCheckError, match="still moving after 1 sweeps"):
+        poly_roots([1, -3, 1, 5, 2])
+
+
+def test_float_cancellation_keeps_the_other_coefficients():
+    """A common root well inside the others, |w| = 0.1, divides out of both
+    parts of degree 31 without disturbing the coefficients left: synthetic
+    division runs up from the constant term only while that is stable."""
+    w = 0.1 * cmath.exp(0.7j)
+    num = [1.0] + [math.sin(k) for k in range(1, 31)]
+    den = [1.0] + [math.cos(k) / 2 for k in range(1, 31)]
+    rf = RationalFunction.from_parts(poly_mul(num, (1, -1 / w)), poly_mul(den, (1, -1 / w)))
+    assert len(rf.cancelled) == 1
+    for got, want in ((rf.numerator, num), (rf.denominator, den)):
+        assert len(got) == len(want)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9
