@@ -388,7 +388,12 @@ def _cmd_series(args) -> dict:
         raise CLIError("--dims is empty")
     if any(d < 0 for d in dims):
         raise CLIError(f"--dims: entries must be nonnegative, got {args.dims!r}")
-    order = args.order if args.order else len(dims)
+    order = len(dims) if args.order is None else args.order
+    if order > MAX_ORDER:
+        raise CLIError(
+            f"--dims has {len(dims)} entries, above the --order cap of {MAX_ORDER}; "
+            f"pass --order {MAX_ORDER} or less"
+        )
     if order > len(dims):
         raise CLIError(f"--order {order} needs {order} dims, got {len(dims)}")
     series = symplectic_zeta_series(dims, order)
@@ -492,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="exact zeta series from an iterate-dim sequence")
     p.set_defaults(handler=_cmd_series)
     p.add_argument("--dims", required=True, help="comma-separated dimensions")
-    p.add_argument("--order", type=int, default=0)
+    p.add_argument("--order", type=int, help="series order (default: the number of dims)")
 
     return parser
 

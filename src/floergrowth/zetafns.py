@@ -2,10 +2,13 @@
 forms.
 
 All series arithmetic is exact: coefficients are Fractions, and exponentials
-and logarithms use the standard convolution recurrences.  Each closed form is
-read off the series it stands for, exp(sum d_n t^n / n): the radical form
-expands through the dimensions its factors encode, and the torus form takes
-its sign flip and inversion from the signs of L(A) and L(A^2).
+and logarithms use the standard convolution recurrences.  The exponential
+works on n! times its coefficients: in Python ints while every k a_k is an
+integer, as for each series built from dimensions, and in Fractions
+otherwise.  Each closed form is read off the series it stands for,
+exp(sum d_n t^n / n): the radical form expands through the dimensions its
+factors encode, and the torus form takes its sign flip and inversion from the
+signs of L(A) and L(A^2).
 """
 
 from __future__ import annotations
@@ -33,15 +36,30 @@ class PowerSeries:
         object.__setattr__(self, "coeffs", cs)
 
     def exp(self) -> "PowerSeries":
-        """exp of a series with zero constant term."""
+        """exp of a series with zero constant term.
+
+        With b_k = k a_k the coefficients satisfy n c_n = sum_k b_k c_(n-k).
+        On C_n = n! c_n that reads C_n = sum_k b_k C_(n-k) (n-1)!/(n-k)!,
+        which divides nothing; the falling factorial is carried along the
+        inner loop.  The sums stay Python ints while every b_k is integral
+        and become Fractions at the first b_k that is not.
+        """
         if self.coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
-        out = [Fraction(1)] + [Fraction(0)] * self.order
+        b = [k * a for k, a in enumerate(self.coeffs)]
+        b = [v.numerator if v.denominator == 1 else v for v in b]
+        scaled = [1]
+        out = [Fraction(1)]
+        factorial = 1
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
+            acc = 0
+            falling = 1
             for k in range(1, n + 1):
-                acc += k * self.coeffs[k] * out[n - k]
-            out[n] = acc / n
+                acc += b[k] * scaled[n - k] * falling
+                falling *= n - k
+            scaled.append(acc)
+            factorial *= n
+            out.append(Fraction(acc, factorial))
         return PowerSeries(tuple(out), self.order)
 
     def log(self) -> "PowerSeries":

@@ -293,6 +293,26 @@ def test_series_command(capsys):
     assert run(["series", "--dims", "1,2", "--order", "5"]) == EXIT_INPUT
     capsys.readouterr()
 
+    # an explicit --order 0 is order 0, not the number of dims
+    payload = payload_of(capsys, ["series", "--dims", "1,2,3", "--order", "0"])
+    assert payload["order"] == 0
+    assert payload["coefficients"] == ["1"]
+
+
+def test_series_inferred_order_is_capped(capsys, monkeypatch):
+    """Without --order the order is the number of dims; past MAX_ORDER that
+    exits 2, naming the count and the cap, before any series work."""
+    dims = ",".join(["1"] * 300)
+    payload = payload_of(capsys, ["series", "--dims", dims, "--order", str(cli.MAX_ORDER)])
+    assert len(payload["coefficients"]) == cli.MAX_ORDER + 1
+
+    called = []
+    monkeypatch.setattr(cli, "symplectic_zeta_series", lambda *a: called.append(a))
+    assert run(["series", "--dims", dims]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--dims has 300 entries" in err and f"cap of {cli.MAX_ORDER}" in err, err
+    assert not called
+
 
 def test_limit_validation(capsys, tmp_path):
     spec = tmp_path / "class.json"
@@ -695,6 +715,11 @@ PINNED_DIGESTS = [
         ["periodic-zeta", "--period", "12", "--dims", "1:2,2:4,3:6,4:8,6:12,12:24", "--order", "128"],
         "413883a6aa207d7a16feda0bb804874138d79353e2b76a8e4f93aef0f4be11ea",
         id="periodic-zeta-12-order128",
+    ),
+    pytest.param(
+        ["series", "--dims", ",".join(str(3**n + 2**n) for n in range(1, 129)), "--order", "128"],
+        "df3c0f12c99ea1bbe9b5fdbd7c8618ebe7cef37a1963ad89ef110edeb020b56f",
+        id="series-128",
     ),
     pytest.param(
         ["trace", "--map", DOCS_MAP, "--n", "6"],

@@ -22,7 +22,11 @@ from floergrowth.zetafns import (
     weil_zeta_torus,
 )
 from floergrowth.torus import lefschetz_number
-from helpers import reference_periodic_exponents, reference_radical_expansion
+from helpers import (
+    exp_of_lefschetz,
+    reference_periodic_exponents,
+    reference_radical_expansion,
+)
 
 ANOSOV = ((2, 1), (1, 1))  # eigenvalues (3 +- sqrt 5)/2
 FIB_MAT = ((0, 1), (1, 1))  # eigenvalues (1 +- sqrt 5)/2
@@ -44,6 +48,31 @@ def test_exp_log_roundtrip():
         assert g.exp().log().coeffs == g.coeffs
         h = PowerSeries(tuple([Fraction(1)] + body[1:]), order)
         assert h.log().exp().coeffs == h.coeffs
+
+
+@st.composite
+def exp_inputs(draw):
+    """b_1..b_order, all integral or each integral or not, signed, with parts
+    past 2^64."""
+    order = draw(st.integers(0, 20))
+    ints = st.integers(-(2**70), 2**70)
+    b = ints.map(Fraction)
+    if draw(st.booleans()):
+        b = st.one_of(b, st.builds(Fraction, ints, st.integers(2, 2**70)))
+    return draw(st.lists(b, min_size=order, max_size=order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exp_inputs())
+@example([])
+@example([Fraction(-3), Fraction(-1, 2)])
+@example([Fraction(2**65), Fraction(3, 2**66)])
+def test_exp_matches_the_fraction_recurrence(bs):
+    """exp of sum a_k t^k, run on n! c_n in ints where it can, equals the
+    Fraction recurrence n c_n = sum_k b_k c_(n-k) with b_k = k a_k."""
+    order = len(bs)
+    coeffs = (0,) + tuple(q / k for k, q in enumerate(bs, 1))
+    assert PowerSeries(coeffs, order).exp().coeffs == tuple(exp_of_lefschetz(bs, order))
 
 
 def test_symplectic_zeta_series_examples():
