@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .foxcalc import RingElem, RingMatrix, jacobian
+from .foxcalc import jacobian
 from .freegroup import Endomorphism, as_integer
 from .groupring import DEFAULT_SEARCH_DEPTH, norm_interval, reidemeister_trace
 from .growth import MIN_GROWTH_TERMS, SPECTRAL_CROSSCHECK_TOL, full_report, growth_estimate
@@ -102,39 +102,34 @@ def _built_from(path: str):
         raise CLIError(f"{path}: {e}") from None
 
 
-def _ring_matrix(rows, rank: int) -> RingMatrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise TypeError(f"an extra matrix must be a list of rows, got {rows!r}")
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise TypeError("extra matrices must be square and nonempty")
-    return RingMatrix(
-        tuple(tuple(RingElem.parse(cell, rank) for cell in row) for row in rows)
-    )
-
-
-def _load_endo(args) -> tuple[Endomorphism, tuple[RingMatrix, ...]]:
+def _load_endo(args) -> Endomorphism:
     if args.map:
         data = _load_json(args.map)
+        if isinstance(data, dict) and "extra_matrices" in data:
+            # the rose chain is the whole complex; dropping the field would
+            # change the answer the file asked for
+            raise CLIError(
+                f"{args.map}: field 'extra_matrices' is retired; a map file holds "
+                "only rank and images"
+            )
         with _built_from(args.map):
-            f = Endomorphism.from_json(data)
-            extras = tuple(_ring_matrix(m, f.rank) for m in data.get("extra_matrices", []))
-        return f, extras
+            return Endomorphism.from_json(data)
     if args.images:
         parts = [p.strip() for p in re.split(r"[,;]", args.images) if p.strip()]
-        return Endomorphism.from_images_text(parts), ()
+        return Endomorphism.from_images_text(parts)
     raise CLIError("provide --map FILE or --images 'a b, a'")
 
 
-def _load_rep(args, f: Endomorphism, extras) -> Representation:
+def _load_rep(args, f: Endomorphism) -> Representation:
     if args.rep:
         data = _load_json(args.rep)
         with _built_from(args.rep):
-            check_block_size(f, as_integer(data["dim"], "dim"), extras)
+            check_block_size(f, as_integer(data["dim"], "dim"))
             return _intertwining(Representation.from_json(data), f)
     if args.modulus is not None:
         if args.modulus < 2:
             raise CLIError("modulus must be >= 2")
-        check_block_size(f, args.modulus ** f.rank, extras)
+        check_block_size(f, args.modulus ** f.rank)
         return _intertwining(abelian_quotient_rep(f, args.modulus), f)
     return trivial_representation(f.rank)
 
@@ -245,23 +240,22 @@ def _text_lines(payload, prefix=""):
 # -- subcommand handlers -------------------------------------------------------
 
 def _cmd_fox(args) -> dict:
-    f, extras = _load_endo(args)
+    f = _load_endo(args)
     jac = jacobian(f)
     return {
         "rank": f.rank,
         "images": [w.to_text() for w in f.images],
         "jacobian": [[e.to_text() for e in row] for row in jac.entries],
         "abelianization": [list(row) for row in f.abelianize()],
-        "extra_matrices": len(extras),
     }
 
 
 def _cmd_trace(args) -> dict:
-    f, extras = _load_endo(args)
+    f = _load_endo(args)
     rows = []
     all_certified = True
     for n in range(1, args.n + 1):
-        h = reidemeister_trace(f, n, extras)
+        h = reidemeister_trace(f, n)
         row = {"n": n, "trace": h.body.to_text()}
         if not args.no_interval:
             iv = norm_interval(h, f, search_depth=args.depth)
@@ -279,9 +273,9 @@ def _cmd_trace(args) -> dict:
 
 
 def _cmd_zeta_twisted(args) -> dict:
-    f, extras = _load_endo(args)
-    rep = _load_rep(args, f, extras)
-    zeta = twisted_zeta(f, rep, extras)
+    f = _load_endo(args)
+    rep = _load_rep(args, f)
+    zeta = twisted_zeta(f, rep)
     payload = {
         "zeta": _rational_json(zeta),
         "representation": {"dim": rep.dim, "kind": rep.kind},
@@ -291,7 +285,7 @@ def _cmd_zeta_twisted(args) -> dict:
         series = zeta.series(args.order)
         payload["series"] = [_coeff_json(c) for c in series]
         payload["lefschetz_check"] = [
-            _coeff_json(c) for c in twisted_lefschetz(f, rep, min(args.order, 8), extras)
+            _coeff_json(c) for c in twisted_lefschetz(f, rep, min(args.order, 8))
         ]
     if args.strict and not rep.is_exact():
         payload["strict_failure"] = "representation is numerical, zeta is not exact"
@@ -303,15 +297,9 @@ def _cmd_bounds(args) -> dict:
         raise CLIError(
             f"bounds needs --n of at least {MIN_GROWTH_TERMS} for its sequence estimate"
         )
-    f, extras = _load_endo(args)
-    rep = _load_rep(args, f, extras)
-    report = full_report(
-        f,
-        rep=rep,
-        extra_matrices=extras,
-        n_iterates=args.n,
-        search_depth=args.depth,
-    )
+    f = _load_endo(args)
+    rep = _load_rep(args, f)
+    report = full_report(f, rep=rep, n_iterates=args.n, search_depth=args.depth)
     payload = report.to_json()
     payload["certification"] = {
         "lower_bound": _zeta_certification(rep),
@@ -411,7 +399,7 @@ def _cmd_series(args) -> dict:
 
 def _add_map_options(p):
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--map", help="JSON file: {rank, images, extra_matrices?}")
+    g.add_argument("--map", help="JSON file: {rank, images}")
     g.add_argument("--images", help="inline images, e.g. 'a b, a'")
 
 

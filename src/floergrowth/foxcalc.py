@@ -7,13 +7,17 @@ lexicographic term order (``Word.sort_key``) is applied only when an element
 is rendered.  The derivative of a word is computed in one left-to-right pass
 over its letters: a positive letter a_j contributes the prefix before it, a
 negative letter a_j^-1 contributes minus the prefix *including* it.
+
+``chain_matrices`` pairs the Fox matrix with the unit (1) of the one vertex:
+the whole lifted chain map of a rose.  ``RingElem.parse`` reads back what
+``to_text`` renders.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .freegroup import Endomorphism, IntMatrix, Word
 
@@ -131,7 +135,7 @@ class RingElem:
     __str__ = to_text
 
     @classmethod
-    def parse(cls, text: str, rank: int | None = None) -> "RingElem":
+    def parse(cls, text: str) -> "RingElem":
         text = text.strip()
         if text in ("", "0"):
             return cls.zero()
@@ -148,7 +152,7 @@ class RingElem:
             c = int(digits) if digits else 1
             if sign == "-":
                 c = -c
-            w = Word.parse(letters or "", rank)
+            w = Word.parse(letters or "")
             acc[w] = acc.get(w, 0) + c
             pos = m.end()
             while pos < len(text) and text[pos].isspace():
@@ -249,10 +253,9 @@ def jacobian(f: Endomorphism) -> RingMatrix:
     )
 
 
-def chain_matrices(
-    f: Endomorphism, extra_matrices: Sequence[RingMatrix] = ()
-) -> tuple[RingMatrix, ...]:
-    """The whole chain (C0, C1, *extra_matrices): on the rose model degree 0
-    is (1) and degree 1 the Fox matrix; user-supplied matrices for degrees
-    2, 3, ... follow verbatim."""
-    return (RingMatrix(((RingElem.one(),),)), jacobian(f), *extra_matrices)
+def chain_matrices(f: Endomorphism) -> tuple[RingMatrix, RingMatrix]:
+    """The whole lifted chain map (C0, C1) of the rose: degree 0 is (1), the
+    one vertex, and degree 1 the Fox matrix, one row per petal.  A surface
+    with boundary deformation-retracts onto a rose, so these two degrees are
+    its whole complex."""
+    return (RingMatrix(((RingElem.one(),),)), jacobian(f))

@@ -5,7 +5,8 @@ by z acting as the endomorphism.  A homogeneous element is written z^n * u
 with u in the group ring of the fiber; moving a body across z^k twists it by
 the k-th iterate, which is the whole content of ``h_matmul``.  So
 (z M)^n = z^n f^(n-1)(M) ... f(M) M, the chain rule of Fox calculus, and
-``reidemeister_trace`` builds it one twisted left factor at a time.
+``reidemeister_trace`` builds it one twisted left factor at a time, for the
+two degrees of the rose chain: (1) and the Fox matrix.
 
 Norms of the Reidemeister trace are reported as certified intervals.  Terms
 are first split by an abelianized orbit invariant (different labels can never
@@ -110,18 +111,14 @@ def orbit_coordinate(g: Word, f: Endomorphism, n: int) -> tuple[int, ...]:
 
 # -- Reidemeister trace -------------------------------------------------------
 
-def reidemeister_trace(
-    f: Endomorphism, n: int, extra_matrices: Sequence[RingMatrix] = ()
-) -> HElem:
-    """Alternating sum of homogeneous traces of the n-th twisted chain powers.
-
-    Degrees 0 and 1 come from the rose model; matrices for higher degrees may
-    be supplied verbatim and enter with alternating signs starting at d = 2.
-    """
+def reidemeister_trace(f: Endomorphism, n: int) -> HElem:
+    """Alternating sum of homogeneous traces of the n-th twisted chain powers:
+    degree 0, the vertex (1), minus degree 1, the Fox matrix, which is the
+    whole rose chain (``chain_matrices``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     acc = RingElem.zero()
-    for d, mat in enumerate(chain_matrices(f, extra_matrices)):
+    for d, mat in enumerate(chain_matrices(f)):
         power = mat
         for k in range(1, n):
             # mat on the left: only the small factor is twisted, by f^k
@@ -271,9 +268,8 @@ def reidemeister_interval(
     f: Endomorphism,
     n: int,
     search_depth: int = DEFAULT_SEARCH_DEPTH,
-    extra_matrices: Sequence[RingMatrix] = (),
     max_states: int = _MAX_REACH_STATES,
 ) -> NormInterval:
     """Certified bracket on the class-sum norm of the n-th Reidemeister trace."""
-    h = reidemeister_trace(f, n, extra_matrices)
+    h = reidemeister_trace(f, n)
     return norm_interval(h, f, search_depth=search_depth, max_states=max_states)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .foxcalc import RingMatrix, chain_matrices
+from .foxcalc import chain_matrices
 from .freegroup import Endomorphism, IntMatrix
 from .groupring import DEFAULT_SEARCH_DEPTH, matrix_norm, norm_matrix, reidemeister_interval
 from .ratfunc import CrossCheckError, det_one_minus_t, poly_roots
@@ -128,24 +128,20 @@ def spectral_radius(mat: IntMatrix) -> float:
     return best
 
 
-def upper_bound_norm(f: Endomorphism, extra_matrices: Sequence[RingMatrix] = ()) -> float:
+def upper_bound_norm(f: Endomorphism) -> float:
     """max over chain degrees of the total group-ring norm."""
-    return float(max(matrix_norm(m) for m in chain_matrices(f, extra_matrices)))
+    return float(max(matrix_norm(m) for m in chain_matrices(f)))
 
 
-def upper_bound_spectral(f: Endomorphism, extra_matrices: Sequence[RingMatrix] = ()) -> float:
+def upper_bound_spectral(f: Endomorphism) -> float:
     """max over chain degrees of the spectral radius of the norm matrix."""
-    return max(spectral_radius(norm_matrix(m)) for m in chain_matrices(f, extra_matrices))
+    return max(spectral_radius(norm_matrix(m)) for m in chain_matrices(f))
 
 
-def lower_bound_zeta(
-    f: Endomorphism,
-    rep: Representation | None = None,
-    extra_matrices: Sequence[RingMatrix] = (),
-) -> float:
+def lower_bound_zeta(f: Endomorphism, rep: Representation | None = None) -> float:
     """1 / (smallest zero-or-pole modulus of the twisted zeta); 1 if none."""
     rep = trivial_representation(f.rank) if rep is None else rep
-    zeta = twisted_zeta(f, rep, extra_matrices)
+    zeta = twisted_zeta(f, rep)
     m = zeta.min_root_modulus()
     if math.isinf(m):
         return 1.0
@@ -181,16 +177,15 @@ class GrowthReport:
 def full_report(
     f: Endomorphism,
     rep: Representation | None = None,
-    extra_matrices: Sequence[RingMatrix] = (),
     n_iterates: int = 6,
     search_depth: int = DEFAULT_SEARCH_DEPTH,
 ) -> GrowthReport:
     """Assemble all bounds; the measured sequence is the certified interval
     uppers of the first ``n_iterates`` iterates."""
-    zeta_lower = lower_bound_zeta(f, rep, extra_matrices)
+    zeta_lower = lower_bound_zeta(f, rep)
     lower = max(1.0, zeta_lower)
-    spectral = upper_bound_spectral(f, extra_matrices)
-    total = upper_bound_norm(f, extra_matrices)
+    spectral = upper_bound_spectral(f)
+    total = upper_bound_norm(f)
     provenance = {
         "lower_bound": "reciprocal of the smallest zeta zero/pole modulus"
         + ("" if zeta_lower >= 1.0 else " (clamped to 1)"),
@@ -203,7 +198,7 @@ def full_report(
             f"bound sandwich violated: lower {lower} > spectral upper {spectral}"
         )
     uppers = [
-        reidemeister_interval(f, n, search_depth=search_depth, extra_matrices=extra_matrices).upper
+        reidemeister_interval(f, n, search_depth=search_depth).upper
         for n in range(1, n_iterates + 1)
     ]
     est = growth_estimate(uppers)

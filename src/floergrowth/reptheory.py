@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .foxcalc import RingMatrix, chain_matrices
 from .freegroup import Endomorphism, Word, as_integer, mat_trace, sparse_mat_mul, sparse_rows
@@ -239,27 +238,22 @@ def twist_matrix(mat: RingMatrix, rep: Representation):
     return tuple(map(tuple, out))
 
 
-def check_block_size(f: Endomorphism, dim: int, extra_matrices: Sequence[RingMatrix] = ()):
-    """Raise ValueError when a twisted chain block would exceed MAX_TWISTED_BLOCK."""
-    chain = max(m.nrows for m in chain_matrices(f, extra_matrices))
-    if chain * dim > MAX_TWISTED_BLOCK:
+def check_block_size(f: Endomorphism, dim: int):
+    """Raise ValueError when a twisted chain block would exceed MAX_TWISTED_BLOCK.
+    The largest chain block is the rank x rank Fox matrix."""
+    if f.rank * dim > MAX_TWISTED_BLOCK:
         raise ValueError(
-            f"twisted block size {chain * dim} (chain size {chain} x representation "
+            f"twisted block size {f.rank * dim} (chain size {f.rank} x representation "
             f"dimension {dim}) exceeds the limit {MAX_TWISTED_BLOCK}"
         )
 
 
-def _degree_blocks(f: Endomorphism, rep: Representation, extra_matrices: Sequence[RingMatrix]):
-    check_block_size(f, rep.dim, extra_matrices)
-    return [twist_matrix(mat, rep) for mat in chain_matrices(f, extra_matrices)]
+def _degree_blocks(f: Endomorphism, rep: Representation):
+    check_block_size(f, rep.dim)
+    return [twist_matrix(mat, rep) for mat in chain_matrices(f)]
 
 
-def twisted_lefschetz(
-    f: Endomorphism,
-    rep: Representation,
-    n: int,
-    extra_matrices: Sequence[RingMatrix] = (),
-) -> list:
+def twisted_lefschetz(f: Endomorphism, rep: Representation, n: int) -> list:
     """Twisted Lefschetz numbers [L(f^1), ..., L(f^n)]: alternating sums over
     chain degrees of the traces of the powers of the twisted blocks.
 
@@ -270,7 +264,7 @@ def twisted_lefschetz(
     if n < 1:
         raise ValueError("n must be >= 1")
     out = [0] * n
-    for d, b in enumerate(_degree_blocks(f, rep, extra_matrices)):
+    for d, b in enumerate(_degree_blocks(f, rep)):
         power = b
         rows = sparse_rows(b)
         for k in range(n):
@@ -281,11 +275,7 @@ def twisted_lefschetz(
     return out
 
 
-def twisted_zeta(
-    f: Endomorphism,
-    rep: Representation,
-    extra_matrices: Sequence[RingMatrix] = (),
-) -> RationalFunction:
+def twisted_zeta(f: Endomorphism, rep: Representation) -> RationalFunction:
     """The twisted zeta function as a ratio of characteristic determinants.
 
     Odd chain degrees multiply the numerator, even ones the denominator, so
@@ -294,7 +284,7 @@ def twisted_zeta(
     representations, complex floats for unitary ones.
     """
     num = den = (1,)
-    for d, b in enumerate(_degree_blocks(f, rep, extra_matrices)):
+    for d, b in enumerate(_degree_blocks(f, rep)):
         p = det_one_minus_t(b)
         if d % 2 == 1:
             num = poly_mul(num, p)

@@ -39,7 +39,7 @@ def test_fox_golden(capsys):
     assert payload["images"] == ["a b", "a"]
     assert payload["jacobian"] == [["1", "a"], ["1", "0"]]
     assert payload["abelianization"] == [[1, 1], [1, 0]]
-    assert payload["extra_matrices"] == 0
+    assert sorted(payload) == ["abelianization", "images", "jacobian", "rank"]
 
 
 def test_trace_golden_intervals(capsys):
@@ -53,18 +53,19 @@ def test_trace_golden_intervals(capsys):
     assert rows[0]["trace"] == "0"
 
 
-def test_trace_strict_uncertified(capsys, tmp_path):
-    endo = tmp_path / "endo.json"
-    endo.write_text(json.dumps({"rank": 1, "images": ["a a"], "extra_matrices": [[["1"]]]}))
+def test_trace_strict_uncertified(capsys):
+    """a -> b, b -> a b has trace 1 - a at n = 1; the two terms are conjugate
+    in the mapping torus, which a search of depth 0 cannot show."""
+    swap_twist = ["trace", "--images", "b, a b", "--n", "1"]
 
-    shallow = ["trace", "--map", str(endo), "--n", "1", "--depth", "0", "--strict"]
+    shallow = [*swap_twist, "--depth", "0", "--strict"]
     payload = payload_of(capsys, shallow, expect=EXIT_UNCERTIFIED)
     assert payload["strict_failure"] == "some interval is not certified"
     row = payload["rows"][0]
     assert (row["norm_lower"], row["norm_upper"]) == (0, 2)
     assert row["certification"] == "uncertified-interval"
 
-    deep = ["trace", "--map", str(endo), "--n", "1", "--depth", "8", "--strict"]
+    deep = [*swap_twist, "--depth", "8", "--strict"]
     payload = payload_of(capsys, deep)
     row = payload["rows"][0]
     assert (row["norm_lower"], row["norm_upper"]) == (0, 0)
@@ -159,20 +160,6 @@ def docs_map(tmp_path) -> Path:
     endo = tmp_path / "endo.json"
     endo.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
     return endo
-
-
-def test_bounds_docs_extra_matrices(capsys, tmp_path):
-    """The extra matrices of the docs map enter the sequence estimate too."""
-    endo = docs_map(tmp_path)
-    rows = payload_of(capsys, ["trace", "--map", str(endo), "--n", "6"])["rows"]
-    uppers = [row["norm_upper"] for row in rows]
-    assert uppers == [2, 0, 5, 4, 12, 15]
-
-    payload = payload_of(capsys, ["bounds", "--map", str(endo)])
-    assert payload["sequence_estimate"] == growth.growth_estimate(uppers).value
-    assert payload["window"] == [4, 6]
-    plain = payload_of(capsys, ["bounds", "--images", "a b, a"])
-    assert payload["sequence_estimate"] > plain["sequence_estimate"]
 
 
 def test_growth_command(capsys):
@@ -381,19 +368,14 @@ def test_bad_input_reporting(capsys, tmp_path):
     assert run(["fox", "--images", "a q"]) == EXIT_INPUT
     capsys.readouterr()
 
-    # an extra matrix may only use the map's generators
-    outside = tmp_path / "outside.json"
-    outside.write_text(json.dumps({"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1 + c"]]]}))
-    for argv in (["trace", "--n", "2", "--no-interval"], ["zeta-twisted", "--modulus", "2"]):
-        assert run([*argv, "--map", str(outside)]) == EXIT_INPUT
-        assert "exceeds rank 2" in capsys.readouterr().err
-
-    # an extra matrix is a chain map, so it must be square
-    oblong = tmp_path / "oblong.json"
-    oblong.write_text(json.dumps({"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1", "a"]]]}))
-    for argv in (["fox"], ["trace", "--n", "2"], ["zeta-twisted", "--modulus", "2"]):
-        assert run([*argv, "--map", str(oblong)]) == EXIT_INPUT
-        assert "extra matrices must be square" in capsys.readouterr().err
+    # the rose chain is the whole complex: a map file that still asks for
+    # extra chain matrices is refused, not read with the field dropped
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps({"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1"]]]}))
+    for argv in (["fox"], ["trace", "--n", "2"], ["zeta-twisted", "--modulus", "2"], ["bounds"]):
+        assert run([*argv, "--map", str(retired)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(retired) in err and "'extra_matrices'" in err, err
 
     # --modulus 0 is refused, not read as "no modulus"; a negative modulus
     # gets the same message, not the block-size check's
@@ -607,31 +589,6 @@ MALFORMED_FILES = [
     pytest.param(["trace", "--n", "2", "--map"], {"images": ["a b", "a"]}, id="map-rank-missing"),
     pytest.param(["trace", "--n", "2", "--map"], {"rank": 2, "images": [1, 2]}, id="map-images-numbers"),
     pytest.param(["fox", "--map"], [1, 2], id="map-top-level-list"),
-    pytest.param(
-        ["zeta-twisted", "--map"],
-        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[[1]]]},
-        id="map-extra-cell-number",
-    ),
-    pytest.param(
-        ["trace", "--n", "2", "--map"],
-        {"rank": 2, "images": ["a b", "a"], "extra_matrices": ["a"]},
-        id="map-extra-matrix-string",
-    ),
-    pytest.param(
-        ["fox", "--map"],
-        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [["ab", "ba"]]},
-        id="map-extra-rows-strings",
-    ),
-    pytest.param(
-        ["trace", "--n", "2", "--map"],
-        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1", "a"]]]},
-        id="map-extra-oblong",
-    ),
-    pytest.param(
-        ["trace", "--n", "2", "--map"],
-        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[]]},
-        id="map-extra-empty",
-    ),
 ]
 
 
@@ -722,9 +679,10 @@ PINNED_DIGESTS = [
         id="series-128",
     ),
     pytest.param(
+        # the docs example is golden, so it prints golden's bytes
         ["trace", "--map", DOCS_MAP, "--n", "6"],
-        "48869a322180ef7e1ab8fbdc49c456aff65326b07af22ea59366f8749dac2cba",
-        id="docs-extra-matrix-trace-n6",
+        "965fdb264d813b476c5ce5adbdf827f0143a293c5e780b95c60f697b5a82b155",
+        id="docs-trace-n6",
     ),
 ]
 

@@ -52,16 +52,15 @@ def test_h_matrix_power_examples(doubling):
     m = jacobian(doubling)
     square = m1("1 + a + a^2 + a^3")
     assert h_matmul(m, m, 1, doubling) == square
-    # the trace's own power loop gives the same square (an extra degree-2
-    # matrix enters with a plus sign)
-    added = reidemeister_trace(doubling, 2, [m]).body - reidemeister_trace(doubling, 2).body
-    assert added == square.trace()
+    # the trace's own power loop gives the same square, in degree 1
+    assert reidemeister_trace(doubling, 2).body == RingElem.one() - square.trace()
     # powers of z times the unit matrix under the identity map stay the unit
     ident1 = Endomorphism.identity(1)
     unit = RingMatrix.identity(1)
     for n in (1, 2, 5):
         assert reference_twisted_power(unit, n, ident1) == unit
-        assert reidemeister_trace(ident1, n, [unit]) == HElem(n, elem("1"))
+        # degree 0 is the unit and degree 1 the Fox matrix (1)
+        assert reidemeister_trace(ident1, n) == HElem(n, RingElem.zero())
 
 
 def test_twisted_power_is_additive():
@@ -81,27 +80,29 @@ def test_twisted_power_is_additive():
 @given(st.data())
 def test_trace_power_matches_right_fold(data):
     """The trace multiplies on the left and twists only the small factor; by
-    associativity an extra matrix m adds the trace of the right fold's power
-    (degree 2 enters with a plus sign)."""
+    associativity it equals 1 minus the trace of the right fold's power of
+    the Fox matrix."""
     f = data.draw(endomorphisms(3, 2))
     n = data.draw(st.integers(1, 4))
-    if data.draw(st.booleans()):
-        m = jacobian(f)
-    else:
-        entries = data.draw(st.lists(ring_elems(f.rank, 3, 3), min_size=4, max_size=4))
-        m = RingMatrix((tuple(entries[:2]), tuple(entries[2:])))
-    added = reidemeister_trace(f, n, [m]).body - reidemeister_trace(f, n).body
-    assert added == reference_twisted_power(m, n, f).trace()
+    want = RingElem.one() - reference_twisted_power(jacobian(f), n, f).trace()
+    assert reidemeister_trace(f, n).body == want
 
 
-def test_h_trace():
+def test_h_trace(doubling):
     assert m1("a").trace() == elem("a")
     diag = RingMatrix(((elem("a"), elem("0")), (elem("0"), elem("b"))))
     assert diag.trace() == elem("a + b")
     assert m1("0").trace() == RingElem.zero()
-    # the Reidemeister trace carries the z-degree n of the power it traces
-    ident1 = Endomorphism.identity(1)
-    assert reidemeister_trace(ident1, 3, [m1("a")]) == HElem(3, elem("a^3"))
+    # the Reidemeister trace carries the z-degree n of the power it traces;
+    # under a -> a a the cube of z(1 + a) is z^3 (1 + a^4)(1 + a^2)(1 + a)
+    cube = reference_twisted_power(jacobian(doubling), 3, doubling)
+    assert cube.trace() == elem("1 + a + a^2 + a^3 + a^4 + a^5 + a^6 + a^7")
+    assert reidemeister_trace(doubling, 3) == HElem(3, RingElem.one() - cube.trace())
+
+
+def test_non_square_trace_is_rejected():
+    with pytest.raises(ValueError, match="non-square"):
+        RingMatrix(((elem("1"), elem("a")),)).trace()
 
 
 def test_norm_examples():
@@ -359,10 +360,3 @@ def test_norm_interval_unsettled_group_searches_every_term(monkeypatch):
 def test_helem_validation():
     with pytest.raises(ValueError):
         HElem(-1, RingElem.one())
-
-
-def test_non_square_extra_matrix_is_rejected(golden):
-    oblong = RingMatrix(((elem("1"), elem("a")),))
-    for n in (1, 2, 3):
-        with pytest.raises(ValueError):
-            reidemeister_trace(golden, n, [oblong])

@@ -271,18 +271,6 @@ def test_representation_json_roundtrip(doubling, golden):
     assert back.gen_images == unitary.gen_images == ((((0, 1 + 0j),),),)
 
 
-def test_twisted_zeta_with_extra_matrix(doubling):
-    """A user-supplied degree-2 chain matrix enters numerator bookkeeping."""
-    extra = RingMatrix.identity(1)
-    rep = trivial_representation(1)
-    order = 10
-    zeta = twisted_zeta(doubling, rep, extra_matrices=(extra,))
-    lefs = twisted_lefschetz(doubling, rep, order, extra_matrices=(extra,))
-    assert list(zeta.series(order)) == exp_of_lefschetz(lefs, order, exact=True)
-    # degree 2 is even, so the new block multiplies the denominator
-    assert zeta.denominator != twisted_zeta(doubling, rep).denominator
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
