@@ -589,6 +589,32 @@ MALFORMED_FILES = [
     pytest.param(["trace", "--n", "2", "--map"], {"images": ["a b", "a"]}, id="map-rank-missing"),
     pytest.param(["trace", "--n", "2", "--map"], {"rank": 2, "images": [1, 2]}, id="map-images-numbers"),
     pytest.param(["fox", "--map"], [1, 2], id="map-top-level-list"),
+    # a retired extra_matrices field is refused whatever it holds
+    pytest.param(
+        ["zeta-twisted", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[[1]]]},
+        id="map-extra-cell-number",
+    ),
+    pytest.param(
+        ["trace", "--n", "2", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": ["a"]},
+        id="map-extra-matrix-string",
+    ),
+    pytest.param(
+        ["fox", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [["ab", "ba"]]},
+        id="map-extra-rows-strings",
+    ),
+    pytest.param(
+        ["trace", "--n", "2", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[["1", "a"]]]},
+        id="map-extra-oblong",
+    ),
+    pytest.param(
+        ["trace", "--n", "2", "--map"],
+        {"rank": 2, "images": ["a b", "a"], "extra_matrices": [[]]},
+        id="map-extra-empty",
+    ),
 ]
 
 
