@@ -83,7 +83,7 @@ def _load_json(path: str):
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise CLIError(f"no such file: {path}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSON syntax error, or an integer past the digit limit
         raise CLIError(f"{path}: invalid JSON ({e})")
 
 
@@ -151,14 +151,35 @@ def _load_class(path: str) -> ClassSpec:
 
 
 _EXPECTED = {int: "comma-separated integers", float: "numbers"}
+_SHOWN_CHARS = 20  # a longer value is cut to this many characters in a message
+
+
+def _shown(text: str) -> str:
+    if len(text) > _SHOWN_CHARS:
+        return f"{text[:_SHOWN_CHARS]!r}... ({len(text)} characters)"
+    return repr(text)
+
+
+def _entry(i: int, piece: str) -> str:
+    """Refused entry i of an option's list, named by its position and never
+    echoed whole; a number in it past Python's digit limit is said so."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    for number in piece.split(":"):
+        digits = number[1:] if number[:1] in ("+", "-") else number
+        if limit and digits.isdecimal() and len(digits) > limit:
+            return f"entry {i} has {len(digits)} digits, above Python's limit of {limit}"
+    return f"got {_shown(piece)} (entry {i})"
 
 
 def _parse_numbers(text: str, option: str, kind: type = int) -> list:
     """The comma- or space-separated numbers of an option's value."""
-    try:
-        return [kind(p) for p in re.split(r"[,\s]+", text.strip()) if p]
-    except ValueError:
-        raise CLIError(f"{option}: expected {_EXPECTED[kind]}, got {text!r}")
+    out = []
+    for i, piece in enumerate([p for p in re.split(r"[,\s]+", text.strip()) if p], 1):
+        try:
+            out.append(kind(piece))
+        except ValueError:
+            raise CLIError(f"{option}: expected {_EXPECTED[kind]}, {_entry(i, piece)}") from None
+    return out
 
 
 def _parse_matrix_2x2(text: str):
@@ -170,14 +191,11 @@ def _parse_matrix_2x2(text: str):
 
 def _parse_dims_map(text: str) -> dict[int, int]:
     out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for i, piece in enumerate([p.strip() for p in text.split(",") if p.strip()], 1):
         try:
             d, v = (int(x) for x in piece.split(":"))
         except ValueError:
-            raise CLIError(f"--dims entries look like 'd:value', got {piece!r}")
+            raise CLIError(f"--dims entries look like 'd:value', {_entry(i, piece)}") from None
         if d in out:
             raise CLIError(f"--dims gives divisor {d} twice")
         out[d] = v
@@ -193,6 +211,21 @@ def _coeff_json(c):
         return str(c)
     c = complex(c)
     return [c.real, c.imag]
+
+
+def _coeff_texts(coeffs, option: str) -> list[str]:
+    """Each exact coefficient as text; one past Python's digit limit for
+    printing an integer is bad input, named by its power of t."""
+    out = []
+    for k, c in enumerate(coeffs):
+        try:
+            out.append(str(c))
+        except ValueError:
+            raise CLIError(
+                f"{option}: the coefficient of t^{k} has more than "
+                f"{sys.get_int_max_str_digits()} digits, Python's limit for printing an integer"
+            ) from None
+    return out
 
 
 def _zeta_certification(rep: Representation) -> str:
@@ -212,9 +245,8 @@ def _rational_json(r: RationalFunction) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
-    if args.text:
-        for line in _text_lines(payload):
-            print(line)
+    if args.text:  # one write: an unprintable value leaves stdout empty
+        print("\n".join(_text_lines(payload)))
     else:
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
@@ -318,14 +350,16 @@ def _cmd_growth(args) -> dict:
 def _cmd_periodic_zeta(args) -> dict:
     if args.class_file:
         rr = periodic_zeta_for_class(_load_class(args.class_file), args.period)
+        option = "--class"
     elif args.dims:
         rr = periodic_zeta(args.period, _parse_dims_map(args.dims))
+        option = "--dims"
     else:
         raise CLIError("provide --dims 'd:value,...' or --class FILE")
     payload = rr.to_json()
     payload["text"] = rr.to_text()
     if args.order:
-        payload["expansion"] = [str(c) for c in rr.expand(args.order).coeffs]
+        payload["expansion"] = _coeff_texts(rr.expand(args.order).coeffs, option)
     payload["certification"] = "exact"
     return payload
 
@@ -374,8 +408,9 @@ def _cmd_series(args) -> dict:
     dims = _parse_numbers(args.dims, "--dims")
     if not dims:
         raise CLIError("--dims is empty")
-    if any(d < 0 for d in dims):
-        raise CLIError(f"--dims: entries must be nonnegative, got {args.dims!r}")
+    for i, d in enumerate(dims, 1):
+        if d < 0:
+            raise CLIError(f"--dims: entries must be nonnegative, got {_shown(str(d))} (entry {i})")
     order = len(dims) if args.order is None else args.order
     if order > MAX_ORDER:
         raise CLIError(
@@ -387,7 +422,7 @@ def _cmd_series(args) -> dict:
     series = symplectic_zeta_series(dims, order)
     payload = {
         "order": order,
-        "coefficients": [str(c) for c in series.coeffs],
+        "coefficients": _coeff_texts(series.coeffs, "--dims"),
         "certification": "exact",
     }
     if len(dims) >= MIN_GROWTH_TERMS:
@@ -546,6 +581,13 @@ def run(argv=None) -> int:
         # stdout goes to devnull, so the interpreter's final flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except ValueError:  # the payload is rendered whole before it is written
+        print(
+            f"error: the result holds an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, Python's limit for printing one",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     return EXIT_UNCERTIFIED if "strict_failure" in payload else EXIT_OK
 
 

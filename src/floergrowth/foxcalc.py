@@ -16,10 +16,9 @@ the whole lifted chain map of a rose.  ``RingElem.parse`` reads back what
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .freegroup import Endomorphism, IntMatrix, Word
+from .freegroup import Endomorphism, Frozen, IntMatrix, Word
 
 _TERM_RE = re.compile(r"([+-])?\s*(\d+)?\s*((?:[A-Za-z](?:\^-?\d+)?\s*)*)")
 
@@ -171,17 +170,16 @@ def _elem(coeffs: dict[Word, int]) -> RingElem:
     return x
 
 
-@dataclass(frozen=True, slots=True)
-class RingMatrix:
+class RingMatrix(Frozen):
     """A rectangular matrix over the group ring."""
 
-    entries: tuple[tuple[RingElem, ...], ...]
+    __slots__ = _fields = _compare = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries: Iterable[Iterable[RingElem]]):
+        rows = tuple(tuple(row) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
+        self._set_fields(rows)
 
     @property
     def nrows(self) -> int:

@@ -6,17 +6,20 @@ inverse.  Words are stored freely reduced.  The public constructor
 always checked.  Products, inverses and endomorphism images are built from
 operands that are already reduced, so cancellation can only happen at the
 junction of two operands: those paths cancel there alone and build the result
-through the private constructor ``_word``, which skips the reduction pass.
-Each endomorphism tabulates the images of both signs of every letter once, at
-construction.  Text I/O writes generators as ``a b c ...`` and inverses as
-``A B C ...`` (``a^-1`` style exponents are also accepted on input).
+through the private constructor ``_word``, which skips the reduction pass
+and sets the ``letters`` slot directly.  Each endomorphism tabulates the
+images of both signs of every letter once, at construction.  Text I/O writes
+generators as ``a b c ...`` and inverses as ``A B C ...`` (``a^-1`` style
+exponents are also accepted on input).
+
+``Frozen`` is the base of the package's value classes that check their
+input; plain read-only records are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import index, neg
 from typing import Iterable, Sequence
 
@@ -40,6 +43,51 @@ def as_integer(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
+class Frozen:
+    """Base of the package's immutable value classes, a plain ``__slots__``
+    class: ``dataclasses`` would pull ``inspect`` and ``ast`` into the import
+    that every CLI process pays.
+
+    A subclass lists its constructor arguments in ``_fields``, which repr
+    shows, and the ones that == and hash read in ``_compare``.  Its
+    constructor sets each slot once, through ``_set_fields`` or
+    ``object.__setattr__``; any later assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compare: tuple[str, ...] = ()
+
+    def _set_fields(self, *values):
+        for key, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # pickle and copy restore the slots here
+        for key, value in state[1].items():
+            object.__setattr__(self, key, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, k) for k in self._compare])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
 def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for raw in letters:
@@ -61,14 +109,22 @@ def _junction(a: Sequence[int], b: Sequence[int]) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(Frozen):
     """A freely reduced word; ``Word()`` is the identity."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = _fields = _compare = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _reduced(self.letters))
+    def __init__(self, letters: Iterable[int] = ()):
+        _set_letters(self, _reduced(letters))
+
+    # words key every ring element's dict, so == and hash skip ``_key``
+    def __eq__(self, other):
+        if other.__class__ is Word:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     # -- algebra ---------------------------------------------------------
 
@@ -152,28 +208,26 @@ def _word(letters: tuple[int, ...]) -> Word:
     return w
 
 
-@dataclass(frozen=True, slots=True)
-class Endomorphism:
+class Endomorphism(Frozen):
     """An endomorphism of the free group, given by generator images."""
 
-    rank: int
-    images: tuple[Word, ...]
-    # letter -> letters of its image, for both signs of every generator
-    _table: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    # _table: letter -> letters of its image, for both signs of every generator
+    __slots__ = ("rank", "images", "_table")
+    _fields = _compare = ("rank", "images")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, images: Iterable[Word]):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        images = tuple(self.images)
-        if len(images) != self.rank:
-            raise ValueError(f"expected {self.rank} images, got {len(images)}")
+        images = tuple(images)
+        if len(images) != rank:
+            raise ValueError(f"expected {rank} images, got {len(images)}")
         for w in images:
-            if w.max_index() > self.rank:
-                raise ValueError(f"image {w} uses a generator outside rank {self.rank}")
-        object.__setattr__(self, "images", images)
+            if w.max_index() > rank:
+                raise ValueError(f"image {w} uses a generator outside rank {rank}")
         table = {}
         for i, w in enumerate(images, 1):
             table[i], table[-i] = w.letters, w.inverse().letters
+        self._set_fields(rank, images)
         object.__setattr__(self, "_table", table)
 
     @classmethod

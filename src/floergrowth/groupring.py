@@ -21,13 +21,13 @@ search could not change the result.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .foxcalc import RingElem, RingMatrix, chain_matrices
 from .freegroup import (
     Endomorphism,
+    Frozen,
     IntMatrix,
     Word,
     mat_identity,
@@ -41,16 +41,15 @@ DEFAULT_SEARCH_DEPTH = 8
 _MAX_REACH_STATES = 4000
 
 
-@dataclass(frozen=True, slots=True)
-class HElem:
+class HElem(Frozen):
     """A z-homogeneous element ``z^z_degree * body`` of the torus group ring."""
 
-    z_degree: int
-    body: RingElem
+    __slots__ = _fields = _compare = ("z_degree", "body")
 
-    def __post_init__(self):
-        if self.z_degree < 0:
+    def __init__(self, z_degree: int, body: RingElem):
+        if z_degree < 0:
             raise ValueError("z_degree must be >= 0")
+        self._set_fields(z_degree, body)
 
 
 def h_matmul(x: RingMatrix, y: RingMatrix, k: int, f: Endomorphism) -> RingMatrix:
@@ -73,13 +72,14 @@ def matrix_norm(m: RingMatrix) -> int:
 # -- orbit-class invariants -------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _orbit_frame(f: Endomorphism, n: int) -> tuple[IntMatrix, IntMatrix, tuple[int, ...]]:
-    """The abelianized map A, and Q and the diagonal of the Smith form of
-    I - A^n, shared by every term of an n-th trace."""
+def _orbit_frame(f: Endomorphism, n: int) -> tuple[IntMatrix, IntMatrix, tuple[int, ...], dict]:
+    """The abelianized map A, Q and the diagonal of the Smith form of
+    I - A^n, and the labels found so far (class -> label), shared by every
+    term of an n-th trace."""
     a = f.abelianize()
     m = mat_sub(mat_identity(f.rank), mat_pow(a, n))
     diag, _, q = smith_normal_form(m)
-    return a, q, diag
+    return a, q, diag, {}
 
 
 def orbit_coordinate(g: Word, f: Endomorphism, n: int) -> tuple[int, ...]:
@@ -89,23 +89,28 @@ def orbit_coordinate(g: Word, f: Endomorphism, n: int) -> tuple[int, ...]:
     endomorphism; conjugating by z moves the class by A, whose action on that
     cokernel has order dividing n.  The label is the lexicographically least
     Smith-reduced representative along the A-orbit, so distinct labels are
-    guaranteed to be distinct conjugacy classes.
+    guaranteed to be distinct conjugacy classes.  A maps classes to classes,
+    so the first term of an orbit walks it once and labels every class on it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a, q, diag = _orbit_frame(f, n)
+    a, q, diag, labels = _orbit_frame(f, n)
 
     def canonical(vec: Sequence[int]) -> tuple[int, ...]:
         w = vec_mat(vec, q)
         return tuple(x % di if di else x for x, di in zip(w, diag))
 
     v = g.exponent_vector(f.rank)
-    best = canonical(v)
+    first = canonical(v)
+    if first in labels:
+        return labels[first]
+    orbit = [first]
     for _ in range(n - 1):
         v = vec_mat(v, a)
-        cand = canonical(v)
-        if cand < best:
-            best = cand
+        orbit.append(canonical(v))
+    best = min(orbit)
+    for c in orbit:
+        labels[c] = best
     return best
 
 
@@ -128,8 +133,7 @@ def reidemeister_trace(f: Endomorphism, n: int) -> HElem:
     return HElem(n, acc)
 
 
-@dataclass(frozen=True, slots=True)
-class NormInterval:
+class NormInterval(NamedTuple):
     """Certified bracket on the norm of a class sum; exact when lower == upper."""
 
     lower: int

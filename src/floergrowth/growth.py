@@ -11,11 +11,10 @@ twisted zeta function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .foxcalc import chain_matrices
-from .freegroup import Endomorphism, IntMatrix
+from .freegroup import Endomorphism, Frozen, IntMatrix
 from .groupring import DEFAULT_SEARCH_DEPTH, matrix_norm, norm_matrix, reidemeister_interval
 from .ratfunc import CrossCheckError, det_one_minus_t, poly_roots
 from .reptheory import Representation, trivial_representation, twisted_zeta
@@ -24,8 +23,7 @@ SPECTRAL_CROSSCHECK_TOL = 1e-10
 MIN_GROWTH_TERMS = 3  # the fewest terms growth_estimate accepts
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(NamedTuple):
     """Finite-sample growth proxy plus the tail window it was read from."""
 
     value: float
@@ -148,17 +146,40 @@ def lower_bound_zeta(f: Endomorphism, rep: Representation | None = None) -> floa
     return 1.0 / m
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """The bound sandwich around the asymptotic growth of iterate dimensions."""
+class GrowthReport(Frozen):
+    """The bound sandwich around the asymptotic growth of iterate dimensions.
 
-    lower_bound: float
-    upper_bound_spectral: float
-    upper_bound_norm: float
-    sequence_estimate: float | None
-    entropy_log: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-    window: tuple | None = None
+    ``entropy_log`` and ``provenance`` default to a fresh dict per report."""
+
+    __slots__ = _fields = _compare = (
+        "lower_bound",
+        "upper_bound_spectral",
+        "upper_bound_norm",
+        "sequence_estimate",
+        "entropy_log",
+        "provenance",
+        "window",
+    )
+
+    def __init__(
+        self,
+        lower_bound: float,
+        upper_bound_spectral: float,
+        upper_bound_norm: float,
+        sequence_estimate: float | None,
+        entropy_log: dict | None = None,
+        provenance: dict | None = None,
+        window: tuple | None = None,
+    ):
+        self._set_fields(
+            lower_bound,
+            upper_bound_spectral,
+            upper_bound_norm,
+            sequence_estimate,
+            {} if entropy_log is None else entropy_log,
+            {} if provenance is None else provenance,
+            window,
+        )
 
     def to_json(self) -> dict:
         """JSON fields; an unbounded (infinite) upper renders as null."""

@@ -14,9 +14,9 @@ Euler-characteristic shortcuts for computing them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .freegroup import as_integer
+from .freegroup import Frozen, as_integer
 from .growth import MIN_GROWTH_TERMS, GrowthReport, growth_estimate
 from .zetafns import RadicalRational, divisors, periodic_zeta
 
@@ -72,8 +72,7 @@ def _iterate_data(kind: str, field: str, value):
     return out
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(Frozen):
     """One piece of the standard form; which fields apply depends on kind,
     and the fields a kind does not read are ignored.
 
@@ -83,29 +82,34 @@ class ComponentSpec:
     dim and count accept a per-iterate list in place of a constant.
     """
 
-    kind: str
-    dim: object = None
-    prongs: int | None = None
-    count: object = 1
-    lefschetz: tuple | None = None
-    dims: tuple | None = None
-    dilatation: float | None = None
+    __slots__ = _fields = _compare = (
+        "kind", "dim", "prongs", "count", "lefschetz", "dims", "dilatation",
+    )
 
-    def __post_init__(self):
-        kind = self.kind
+    def __init__(
+        self,
+        kind: str,
+        dim: object = None,
+        prongs: int | None = None,
+        count: object = 1,
+        lefschetz: tuple | None = None,
+        dims: tuple | None = None,
+        dilatation: float | None = None,
+    ):
+        self._set_fields(kind, dim, prongs, count, lefschetz, dims, dilatation)
         if not isinstance(kind, str) or kind not in _KINDS:  # a JSON list is unhashable
             raise ValueError(f"unknown component kind {kind!r}")
         field, needs, least, _ = _KINDS[kind]
         if getattr(self, field) is None:
             raise ValueError(f"{kind} component needs {needs}")
         if least is not None:
-            prongs = None if self.prongs is None else as_integer(self.prongs, f"{kind} prongs")
+            prongs = None if prongs is None else as_integer(prongs, f"{kind} prongs")
             if prongs is None or prongs < least:
                 raise ValueError(f"{kind} component needs prongs >= {least}")
             object.__setattr__(self, "prongs", prongs)
         for key in _iterate_fields(kind):
             object.__setattr__(self, key, _iterate_data(kind, key, getattr(self, key)))
-        d = self.dilatation
+        d = dilatation
         number = isinstance(d, (int, float)) and not isinstance(d, bool)
         if d is not None and not (number and 1 <= d < math.inf):  # NaN fails too
             raise ValueError(f"dilatation must be a finite number >= 1, got {d!r}")
@@ -131,20 +135,20 @@ class ComponentSpec:
         """Absent fields take their defaults and unknown keys are ignored; kind
         is looked up first, so a missing kind is reported by name."""
         kind = data["kind"]
-        rest = fields(cls)[1:]  # every field after kind
-        return cls(kind, **{f.name: data[f.name] for f in rest if f.name in data})
+        rest = cls._fields[1:]  # every field after kind
+        return cls(kind, **{key: data[key] for key in rest if key in data})
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(Frozen):
     """A mapping class in standard form: the list of its pieces."""
 
-    components: tuple[ComponentSpec, ...]
+    __slots__ = _fields = _compare = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: tuple[ComponentSpec, ...]):
+        components = tuple(components)
+        if not components:
             raise ValueError("a class needs at least one component")
+        self._set_fields(components)
 
     def max_iterate(self) -> int | None:
         lengths = [c.max_iterate() for c in self.components if c.max_iterate() is not None]
@@ -219,8 +223,7 @@ def asymptotic_invariant(spec: ClassSpec, n_max: int = 30) -> GrowthReport:
     )
 
 
-@dataclass(frozen=True)
-class GraphTestResult:
+class GraphTestResult(NamedTuple):
     """Outcome of the geometric-structure test on the mapping torus."""
 
     is_graph_manifold: bool

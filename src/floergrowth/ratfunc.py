@@ -15,11 +15,10 @@ import logging
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .freegroup import mat_trace, sparse_mat_mul, sparse_rows
+from .freegroup import Frozen, mat_trace, sparse_mat_mul, sparse_rows
 
 log = logging.getLogger(__name__)
 
@@ -238,27 +237,24 @@ def _exact_coefficients(coeffs) -> bool:
     return all(isinstance(c, (int, Fraction)) for c in coeffs)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Frozen):
     """num/den in t, both normalized to constant term 1.
 
     The coefficients carry the lane: all ints and Fractions is exact, any
     other number is the float lane.  ``cancelled`` records root pairs removed
     in the float lane (closer than the cancellation tolerance); the exact lane
-    cancels by polynomial gcd.
+    cancels by polynomial gcd.  == and hash ignore ``cancelled``.
     """
 
-    numerator: tuple
-    denominator: tuple
-    cancelled: tuple = field(default=(), compare=False)
+    __slots__ = _fields = ("numerator", "denominator", "cancelled")
+    _compare = ("numerator", "denominator")
 
-    def __post_init__(self):
-        num = _trim(self.numerator)
-        den = _trim(self.denominator)
+    def __init__(self, numerator: tuple, denominator: tuple, cancelled: tuple = ()):
+        num = _trim(numerator)
+        den = _trim(denominator)
         if num[0] != 1 or den[0] != 1:
             raise ValueError("rational function must have constant term 1 in both parts")
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        self._set_fields(num, den, cancelled)
 
     @property
     def exact(self) -> bool:

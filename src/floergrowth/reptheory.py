@@ -15,10 +15,9 @@ the generator's image.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .foxcalc import RingMatrix, chain_matrices
-from .freegroup import Endomorphism, Word, as_integer, mat_trace, sparse_mat_mul, sparse_rows
+from .freegroup import Endomorphism, Frozen, Word, as_integer, mat_trace, sparse_mat_mul, sparse_rows
 from .ratfunc import RationalFunction, det_one_minus_t, poly_mul
 
 UNITARY_TOL = 1e-8
@@ -85,38 +84,32 @@ def _max_gap(a, b) -> float:
     return max(float(abs(x - y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Frozen):
     """Images of the fiber generators and of z, as sparse rows (see the
     module docstring for the input formats)."""
 
-    dim: int
-    kind: str
-    gen_images: tuple
-    z_image: tuple
-    # letter -> sparse rows of its matrix, for both signs of every generator
-    _letters: dict = field(init=False, repr=False, compare=False)
-    # the dense identity matrix, in the entries' arithmetic
-    _eye: tuple = field(init=False, repr=False, compare=False)
+    # _letters: letter -> sparse rows of its matrix, for both signs of every
+    # generator; _eye: the dense identity matrix, in the entries' arithmetic
+    __slots__ = ("dim", "kind", "gen_images", "z_image", "_letters", "_eye")
+    _fields = _compare = ("dim", "kind", "gen_images", "z_image")
 
-    def __post_init__(self):
-        if self.kind not in (PERMUTATION, UNITARY):
-            raise ValueError(f"unknown representation kind {self.kind!r}")
-        if self.dim < 1:
+    def __init__(self, dim: int, kind: str, gen_images: tuple, z_image: tuple):
+        if kind not in (PERMUTATION, UNITARY):
+            raise ValueError(f"unknown representation kind {kind!r}")
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        read, one = (_permutation, 1) if self.is_exact() else (_unitary, complex(1))
-        gens = tuple(read(g, self.dim) for g in self.gen_images)
-        z = read(self.z_image, self.dim)
-        eye = tuple(tuple(one * (i == j) for j in range(self.dim)) for i in range(self.dim))
+        read, one = (_permutation, 1) if kind == PERMUTATION else (_unitary, complex(1))
+        gens = tuple(read(g, dim) for g in gen_images)
+        z = read(z_image, dim)
+        eye = tuple(tuple(one * (i == j) for j in range(dim)) for i in range(dim))
         for m in (*gens, z):
-            product = sparse_mat_mul(_adjoint(m, self.dim), sparse_mat_mul(m, eye))
+            product = sparse_mat_mul(_adjoint(m, dim), sparse_mat_mul(m, eye))
             if _max_gap(product, eye) > UNITARY_TOL:
                 raise ValueError("matrix is not unitary within tolerance")
         letters = {}
         for i, g in enumerate(gens, 1):
-            letters[i], letters[-i] = g, _adjoint(g, self.dim)
-        object.__setattr__(self, "gen_images", gens)
-        object.__setattr__(self, "z_image", z)
+            letters[i], letters[-i] = g, _adjoint(g, dim)
+        self._set_fields(dim, kind, gens, z)
         object.__setattr__(self, "_letters", letters)
         object.__setattr__(self, "_eye", eye)
 

@@ -14,26 +14,24 @@ signs of L(A) and L(A^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .freegroup import IntMatrix
+from .freegroup import Frozen, IntMatrix
 from .growth import growth_estimate
 from .ratfunc import RationalFunction
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series with exact rational coefficients."""
+class PowerSeries(Frozen):
+    """Truncated power series with exact rational coefficients; index k of
+    ``coeffs`` holds the t^k coefficient."""
 
-    coeffs: tuple  # index k holds the t^k coefficient
-    order: int
+    __slots__ = _fields = _compare = ("coeffs", "order")
 
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs[: self.order + 1])
-        cs = cs + (Fraction(0),) * (self.order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, coeffs: tuple, order: int):
+        cs = tuple(Fraction(c) for c in coeffs[: order + 1])
+        cs = cs + (Fraction(0),) * (order + 1 - len(cs))
+        self._set_fields(cs, order)
 
     def exp(self) -> "PowerSeries":
         """exp of a series with zero constant term.
@@ -96,8 +94,7 @@ def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-@dataclass(frozen=True)
-class RadicalRational:
+class RadicalRational(NamedTuple):
     """Product of (1 - t^d) factors raised to rational exponents -P(d)/d."""
 
     period: int

@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from floergrowth.foxcalc import RingElem, RingMatrix
-from floergrowth.freegroup import Endomorphism, Word
+from floergrowth.freegroup import Endomorphism, Word, mat_identity, mat_pow, mat_sub, vec_mat
 from floergrowth.groupring import (
     HElem,
     NormInterval,
@@ -17,6 +17,7 @@ from floergrowth.groupring import (
     h_matmul,
     orbit_coordinate,
 )
+from floergrowth.snf import smith_normal_form
 
 
 def random_reduced_word(rng: random.Random, rank: int, max_len: int) -> Word:
@@ -244,6 +245,21 @@ def reference_norm_interval(
         upper += sum(abs(s) for s in sums.values())
 
     return NormInterval(lower, upper, lower == upper)
+
+
+def reference_orbit_coordinate(g: Word, f: Endomorphism, n: int) -> tuple[int, ...]:
+    """The label of ``z^n g`` by walking the words g, f(g), ..., f^(n-1)(g)
+    and taking the least Smith-reduced class of their exponent vectors in
+    coker(I - A^n), each computed afresh: the oracle for the label table
+    that ``orbit_coordinate`` fills one orbit at a time."""
+    a = f.abelianize()
+    diag, _, q = smith_normal_form(mat_sub(mat_identity(f.rank), mat_pow(a, n)))
+    labels = []
+    for _ in range(n):
+        w = vec_mat(g.exponent_vector(f.rank), q)
+        labels.append(tuple(x % d if d else x for x, d in zip(w, diag)))
+        g = f(g)
+    return min(labels)
 
 
 def reference_twisted_power(m: RingMatrix, n: int, f: Endomorphism) -> RingMatrix:

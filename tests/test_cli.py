@@ -419,10 +419,60 @@ def test_bad_input_reporting(capsys, tmp_path):
         (["periodic-zeta", "--period", "2", "--dims", "1:x,2:3"], "--dims entries look like 'd:value', got '1:x'"),
         (["periodic-zeta", "--period", "2", "--dims", "1:2,1:3,2:4"], "--dims gives divisor 1 twice"),
     ]
+    # a coefficient past Python's digit limit for printing an integer names
+    # the option and its power of t, not the interpreter's setting
+    limit = sys.get_int_max_str_digits()
+    huge = ",".join(["1" + "0" * 300] * 128)
+    cases += [
+        (["series", "--dims", huge, "--order", "128"], "--dims: the coefficient of t^15 has more than"),
+        (["periodic-zeta", "--period", "1", "--dims", "1:1" + "0" * 4000, "--order", "4"],
+         f"--dims: the coefficient of t^2 has more than {limit} digits"),
+    ]
     for argv, message in cases:
         assert run(argv) == EXIT_INPUT, argv
         err = capsys.readouterr().err
         assert message in err, err
+
+    # any other integer of the payload past the limit is bad input too, with
+    # nothing written to stdout (here, the sum of two dims of 4300 digits)
+    wide = tmp_path / "wide.json"
+    nines = "9" * limit
+    wide.write_text(f'{{"components": [{{"kind": "fixed-a", "dim": {nines}}}, {{"kind": "fixed-a", "dim": {nines}}}]}}')
+    for argv in (["assemble"], ["--text", "assemble"]):
+        assert run([*argv, "--class", str(wide), "--n", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the result holds an integer of more than {limit} digits" in captured.err
+    # and so is a file holding one
+    wide.write_text(f'{{"components": [{{"kind": "fixed-a", "dim": 1{nines}}}]}}')
+    assert run(["assemble", "--class", str(wide)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{wide}: invalid JSON" in err and "Traceback" not in err, err
+
+
+def test_bad_entries_are_named_not_echoed(capsys):
+    """A refused list entry is named by its position, cut when long, and an
+    integer past Python's digit limit is said to be; the option value is
+    never echoed whole."""
+    limit = sys.get_int_max_str_digits()
+    long_int = "7" * (limit + 701)
+    cases = [
+        (["series", "--dims", f"1,{long_int},3"],
+         f"--dims: expected comma-separated integers, entry 2 has {limit + 701} digits, "
+         f"above Python's limit of {limit}"),
+        (["series", "--dims", "1 2 2.5"], "--dims: expected comma-separated integers, got '2.5' (entry 3)"),
+        (["growth", "--seq", "1," + "x" * 500], "--seq: expected numbers, got 'xxxxxxxxxxxxxxxxxxxx'... (500 characters) (entry 2)"),
+        (["torus", "--matrix", f"1,2,3,-{long_int}"], f"--matrix: expected comma-separated integers, entry 4 has {limit + 701} digits"),
+        (["series", "--dims", "1,2,-" + "5" * limit], f"--dims: entries must be nonnegative, got '-5555555555555555555'... ({limit + 1} characters) (entry 3)"),
+        (["periodic-zeta", "--period", "2", "--dims", f"1:1,2:{long_int}"],
+         f"--dims entries look like 'd:value', entry 2 has {limit + 701} digits"),
+        (["periodic-zeta", "--period", "2", "--dims", "1:1,2:" + "y" * 300],
+         "--dims entries look like 'd:value', got '2:yyyyyyyyyyyyyyyyyy'... (302 characters) (entry 2)"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == EXIT_INPUT, argv
+        err = capsys.readouterr().err
+        assert message in err and len(err) < 200, err
 
 
 def test_one_spelling_per_option(capsys, tmp_path):

@@ -26,7 +26,9 @@ from helpers import (
     lucas,
     random_endo,
     random_reduced_word,
+    reduced_words,
     reference_norm_interval,
+    reference_orbit_coordinate,
     reference_twisted_power,
     ring_elems,
 )
@@ -164,6 +166,35 @@ def test_orbit_coordinate_invariance(corpus):
             moved = fn(gamma).inverse() * g * gamma
             assert orbit_coordinate(moved, f, n) == orbit_coordinate(g, f, n)
             assert orbit_coordinate(f(g), f, n) == orbit_coordinate(g, f, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=endomorphisms(max_rank=3, max_image_len=3), n=st.integers(1, 5), data=st.data())
+def test_orbit_coordinate_matches_orbit_walk(f, n, data):
+    """The label table gives each term the label that walking its own orbit
+    gives, whichever class of the orbit is met first."""
+    groupring._orbit_frame.cache_clear()
+    words = data.draw(st.lists(reduced_words(f.rank, 6), min_size=1, max_size=8))
+    for g in words + [f(w) for w in words]:
+        assert orbit_coordinate(g, f, n) == reference_orbit_coordinate(g, f, n)
+
+
+def test_orbit_coordinate_matches_orbit_walk_when_singular():
+    """Maps with det(I - A^n) = 0, where part of the cokernel is free: the
+    identity, a unipotent map, and the swap at even n."""
+    rng = random.Random(28)
+    maps = [
+        (Endomorphism.identity(1), 1),
+        (Endomorphism.identity(3), 4),
+        (Endomorphism.from_images_text(["a", "a b"]), 3),
+        (Endomorphism.from_images_text(["b", "a"]), 2),
+        (Endomorphism.from_images_text(["b", "a", "c c"]), 4),
+    ]
+    for f, n in maps:
+        groupring._orbit_frame.cache_clear()
+        for _ in range(40):
+            g = random_reduced_word(rng, f.rank, 6)
+            assert orbit_coordinate(g, f, n) == reference_orbit_coordinate(g, f, n)
 
 
 def test_reidemeister_trace_small_cases(identity2, doubling, golden):

@@ -305,7 +305,7 @@ def test_json_roundtrip():
 
 
 def test_component_from_json_defaults_and_unknown_keys():
-    """An absent field takes its dataclass default (count 1), a key that is
+    """An absent field takes its constructor default (count 1), a key that is
     not a field is ignored, and a missing kind is named."""
     got = ComponentSpec.from_json({"kind": "fixed-c", "prongs": 2, "dim": 3, "genus": 2})
     assert got == ComponentSpec(kind="fixed-c", prongs=2, dim=3) and got.count == 1
