@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import re
 import sys
@@ -78,22 +77,18 @@ class _Parser(argparse.ArgumentParser):
 
 # -- input loading -------------------------------------------------------------
 
-def _load_json(path: str):
+def _read(path: str, build):
+    """``build`` applied to a JSON file's data.  A missing field, a TypeError
+    or AttributeError, or a ValueError raised while building is bad input
+    naming the file."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise CLIError(f"no such file: {path}")
     except ValueError as e:  # a JSON syntax error, or an integer past the digit limit
         raise CLIError(f"{path}: invalid JSON ({e})")
-
-
-@contextlib.contextmanager
-def _built_from(path: str):
-    """Report a missing field, a TypeError or AttributeError, or a ValueError
-    raised while building objects from a file's data, as bad input naming the
-    file."""
     try:
-        yield
+        return build(data)
     except KeyError as e:
         raise CLIError(f"{path}: missing field {e.args[0]!r}") from None
     except (TypeError, AttributeError) as e:
@@ -104,16 +99,7 @@ def _built_from(path: str):
 
 def _load_endo(args) -> Endomorphism:
     if args.map:
-        data = _load_json(args.map)
-        if isinstance(data, dict) and "extra_matrices" in data:
-            # the rose chain is the whole complex; dropping the field would
-            # change the answer the file asked for
-            raise CLIError(
-                f"{args.map}: field 'extra_matrices' is retired; a map file holds "
-                "only rank and images"
-            )
-        with _built_from(args.map):
-            return Endomorphism.from_json(data)
+        return _read(args.map, Endomorphism.from_json)
     if args.images:
         parts = [p.strip() for p in re.split(r"[,;]", args.images) if p.strip()]
         return Endomorphism.from_images_text(parts)
@@ -122,10 +108,11 @@ def _load_endo(args) -> Endomorphism:
 
 def _load_rep(args, f: Endomorphism) -> Representation:
     if args.rep:
-        data = _load_json(args.rep)
-        with _built_from(args.rep):
+        def build(data) -> Representation:
             check_block_size(f, as_integer(data["dim"], "dim"))
             return _intertwining(Representation.from_json(data), f)
+
+        return _read(args.rep, build)
     if args.modulus is not None:
         if args.modulus < 2:
             raise CLIError("modulus must be >= 2")
@@ -142,12 +129,6 @@ def _intertwining(rep: Representation, f: Endomorphism) -> Representation:
             f"representation does not intertwine the map (max residual {residual:.3g})"
         )
     return rep
-
-
-def _load_class(path: str) -> ClassSpec:
-    data = _load_json(path)
-    with _built_from(path):
-        return ClassSpec.from_json(data)
 
 
 _EXPECTED = {int: "comma-separated integers", float: "numbers"}
@@ -349,7 +330,7 @@ def _cmd_growth(args) -> dict:
 
 def _cmd_periodic_zeta(args) -> dict:
     if args.class_file:
-        rr = periodic_zeta_for_class(_load_class(args.class_file), args.period)
+        rr = periodic_zeta_for_class(_read(args.class_file, ClassSpec.from_json), args.period)
         option = "--class"
     elif args.dims:
         rr = periodic_zeta(args.period, _parse_dims_map(args.dims))
@@ -388,7 +369,7 @@ def _cmd_torus(args) -> dict:
 
 
 def _cmd_assemble(args) -> dict:
-    spec = _load_class(args.class_file)
+    spec = _read(args.class_file, ClassSpec.from_json)
     payload: dict = {"components": len(spec.components)}
     limit = spec.max_iterate()
     horizon = args.n if args.n is not None else min(6, limit or 6)
@@ -525,19 +506,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# option: (least, greatest); checked when the command has the option and it is set
+_LIMITS = {
+    "n": (1, MAX_ITERATES),
+    "order": (0, MAX_ORDER),
+    "depth": (0, MAX_DEPTH),
+    "period": (1, MAX_ORDER),
+}
+
+
 def _validate_limits(args) -> None:
-    n = getattr(args, "n", None)
-    if n is not None and not 1 <= n <= MAX_ITERATES:
-        raise CLIError(f"--n must be between 1 and {MAX_ITERATES}")
-    order = getattr(args, "order", 0) or 0
-    if order < 0 or order > MAX_ORDER:
-        raise CLIError(f"--order must be between 0 and {MAX_ORDER}")
-    depth = getattr(args, "depth", 0) or 0
-    if depth < 0 or depth > MAX_DEPTH:
-        raise CLIError(f"--depth must be between 0 and {MAX_DEPTH}")
-    period = getattr(args, "period", None)
-    if period is not None and not (1 <= period <= MAX_ORDER):
-        raise CLIError(f"--period must be between 1 and {MAX_ORDER}")
+    for option, (low, high) in _LIMITS.items():
+        value = getattr(args, option, None)
+        if value is not None and not low <= value <= high:
+            raise CLIError(f"--{option} must be between {low} and {high}")
 
 
 @contextlib.contextmanager
@@ -546,6 +528,8 @@ def _library_log(enabled: bool):
     if not enabled:
         yield
         return
+    import logging  # only a --verbose run can show a record, so only it loads this
+
     logger = logging.getLogger("floergrowth")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))

@@ -283,6 +283,12 @@ class Endomorphism(Frozen):
 
     @classmethod
     def from_json(cls, data) -> "Endomorphism":
+        if isinstance(data, dict) and "extra_matrices" in data:
+            # the rose chain is the whole complex; dropping the field would
+            # change the answer the file asked for
+            raise ValueError(
+                "field 'extra_matrices' is retired; a map file holds only rank and images"
+            )
         rank = as_integer(data["rank"], "rank")
         return cls(rank, tuple(Word.parse(s, rank) for s in data["images"]))
 

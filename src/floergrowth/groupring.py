@@ -157,12 +157,10 @@ def _reach_set(
     in the torus group, so membership certifies a merge; the bounded search
     makes no claims about non-membership.
     """
-    rank = f.rank
-    # left factors fn(x)^-1 for each letter x, precomputed
-    pos_left = [fn.images[j].inverse() for j in range(rank)]
-    neg_left = [fn.images[j] for j in range(rank)]
-    pos_right = [Word((j + 1,)) for j in range(rank)]
-    neg_right = [Word((-(j + 1),)) for j in range(rank)]
+    # twisted conjugation by x sends w to fn(x)^-1 w x, for x = a, A, b, B, ...
+    moves = []
+    for j, image in enumerate(fn.images, 1):
+        moves += [(image.inverse(), Word((j,))), (image, Word((-j,)))]
     length_cap = len(g) + depth * (1 + max(len(w) for w in fn.images)) + 4
 
     seen: dict[Word, int] = {g: 0}
@@ -177,14 +175,11 @@ def _reach_set(
             queue.append(img)
         if cost >= depth:
             continue
-        for j in range(rank):
-            for new in (
-                pos_left[j] * cur * pos_right[j],
-                neg_left[j] * cur * neg_right[j],
-            ):
-                if len(new) <= length_cap and new not in seen:
-                    seen[new] = cost + 1
-                    queue.append(new)
+        for left, right in moves:
+            new = left * cur * right
+            if len(new) <= length_cap and new not in seen:
+                seen[new] = cost + 1
+                queue.append(new)
     return seen
 
 

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .foxcalc import chain_matrices
-from .freegroup import Endomorphism, Frozen, IntMatrix
+from .freegroup import Endomorphism, IntMatrix
 from .groupring import DEFAULT_SEARCH_DEPTH, matrix_norm, norm_matrix, reidemeister_interval
 from .ratfunc import CrossCheckError, det_one_minus_t, poly_roots
 from .reptheory import Representation, trivial_representation, twisted_zeta
@@ -32,20 +32,22 @@ class GrowthEstimate(NamedTuple):
 
 
 def growth_estimate(seq: Sequence[float]) -> GrowthEstimate:
-    terms = []
-    for k, x in enumerate(seq, 1):
+    """The tail-window proxy of a nonnegative sequence.  Sign and finiteness
+    are checked on the terms as given; only the window's terms become floats,
+    so an integer past the float range is refused only inside the window."""
+    if len(seq) < MIN_GROWTH_TERMS:
+        raise ValueError(f"need at least {MIN_GROWTH_TERMS} terms to estimate growth")
+    if not all(0 <= x < math.inf for x in seq):  # NaN fails too
+        raise ValueError("sequence terms must be finite and nonnegative")
+    n = len(seq)
+    start = n - math.ceil(n / 2) + 1  # 1-based iterate index
+    best = 1.0  # the growth is at least 1
+    for k in range(start, n + 1):
         try:
-            terms.append(float(x))
+            best = max(best, float(seq[k - 1]) ** (1.0 / k))
         except OverflowError:  # an integer past the float range
             raise ValueError(f"sequence term {k} is too large for a float") from None
-    if len(terms) < MIN_GROWTH_TERMS:
-        raise ValueError(f"need at least {MIN_GROWTH_TERMS} terms to estimate growth")
-    if not all(0 <= x < math.inf for x in terms):  # NaN fails too
-        raise ValueError("sequence terms must be finite and nonnegative")
-    n = len(terms)
-    start = n - math.ceil(n / 2) + 1  # 1-based iterate index
-    best = max(terms[k - 1] ** (1.0 / k) for k in range(start, n + 1))
-    return GrowthEstimate(max(1.0, best), start, n)
+    return GrowthEstimate(best, start, n)
 
 
 def _strong_components(mat: IntMatrix) -> list[list[int]]:
@@ -146,40 +148,16 @@ def lower_bound_zeta(f: Endomorphism, rep: Representation | None = None) -> floa
     return 1.0 / m
 
 
-class GrowthReport(Frozen):
-    """The bound sandwich around the asymptotic growth of iterate dimensions.
+class GrowthReport(NamedTuple):
+    """The bound sandwich around the asymptotic growth of iterate dimensions."""
 
-    ``entropy_log`` and ``provenance`` default to a fresh dict per report."""
-
-    __slots__ = _fields = _compare = (
-        "lower_bound",
-        "upper_bound_spectral",
-        "upper_bound_norm",
-        "sequence_estimate",
-        "entropy_log",
-        "provenance",
-        "window",
-    )
-
-    def __init__(
-        self,
-        lower_bound: float,
-        upper_bound_spectral: float,
-        upper_bound_norm: float,
-        sequence_estimate: float | None,
-        entropy_log: dict | None = None,
-        provenance: dict | None = None,
-        window: tuple | None = None,
-    ):
-        self._set_fields(
-            lower_bound,
-            upper_bound_spectral,
-            upper_bound_norm,
-            sequence_estimate,
-            {} if entropy_log is None else entropy_log,
-            {} if provenance is None else provenance,
-            window,
-        )
+    lower_bound: float
+    upper_bound_spectral: float
+    upper_bound_norm: float
+    sequence_estimate: float | None
+    entropy_log: dict
+    provenance: dict
+    window: tuple | None
 
     def to_json(self) -> dict:
         """JSON fields; an unbounded (infinite) upper renders as null."""

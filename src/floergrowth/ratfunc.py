@@ -11,7 +11,6 @@ appear at the root-finding boundary.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 import sys
@@ -19,8 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .freegroup import Frozen, mat_trace, sparse_mat_mul, sparse_rows
-
-log = logging.getLogger(__name__)
 
 ROOT_RESIDUAL_TOL = 1e-8
 CANCEL_TOL = 1e-6
@@ -31,6 +28,14 @@ _STOP_ULPS = 4  # poly_roots's stopping tolerances, in units of rounding
 
 class CrossCheckError(RuntimeError):
     """An internal consistency check of a computed result failed."""
+
+
+def _log_info(msg: str, *args) -> None:
+    """An INFO record on this module's logger.  A process that never imported
+    logging has no handler that could show one, so it is left unloaded."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(msg, *args)
 
 
 def _trim(coeffs):
@@ -275,7 +280,7 @@ class RationalFunction(Frozen):
                 g = tuple(c / g[0] for c in g)  # normalize constant term to 1
                 num, _ = _poly_divmod_exact(num, g)
                 den, _ = _poly_divmod_exact(den, g)
-                log.info("cancelled a common factor of degree %d", poly_degree(g))
+                _log_info("cancelled a common factor of degree %d", poly_degree(g))
             return cls(tuple(num), tuple(den))
         num = [complex(c) for c in _trim(num)]
         den = [complex(c) for c in _trim(den)]
@@ -299,7 +304,7 @@ class RationalFunction(Frozen):
             num = _deflate(num, x)
             den = _deflate(den, x)
         if cancelled:
-            log.info("cancelled %d near-common root pair(s)", len(cancelled))
+            _log_info("cancelled %d near-common root pair(s)", len(cancelled))
         return cls(tuple(num), tuple(den), cancelled=tuple(cancelled))
 
     def reciprocal(self) -> "RationalFunction":
@@ -345,8 +350,6 @@ class RationalFunction(Frozen):
 
 
 def _coeff_text(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
     if isinstance(c, complex):
         if abs(c.imag) < 1e-12:
             return f"{c.real:.6g}"

@@ -1,14 +1,13 @@
 """Symplectic zeta series, the periodic-map radical form, and torus closed
 forms.
 
-All series arithmetic is exact: coefficients are Fractions, and exponentials
-and logarithms use the standard convolution recurrences.  The exponential
-works on n! times its coefficients: in Python ints while every k a_k is an
-integer, as for each series built from dimensions, and in Fractions
-otherwise.  Each closed form is read off the series it stands for,
-exp(sum d_n t^n / n): the radical form expands through the dimensions its
-factors encode, and the torus form takes its sign flip and inversion from the
-signs of L(A) and L(A^2).
+All series arithmetic is exact: coefficients are Fractions, and the
+exponential uses the standard convolution recurrence.  It works on n! times
+its coefficients: in Python ints while every k a_k is an integer, as for each
+series built from dimensions, and in Fractions otherwise.  Each closed form
+is read off the series it stands for, exp(sum d_n t^n / n): the radical form
+expands through the dimensions its factors encode, and the torus form takes
+its sign flip and inversion from the signs of L(A) and L(A^2).
 """
 
 from __future__ import annotations
@@ -59,18 +58,6 @@ class PowerSeries(Frozen):
             factorial *= n
             out.append(Fraction(acc, factorial))
         return PowerSeries(tuple(out), self.order)
-
-    def log(self) -> "PowerSeries":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        a = [Fraction(0)] * (self.order + 1)
-        for n in range(1, self.order + 1):
-            acc = n * self.coeffs[n]
-            for k in range(1, n):
-                acc -= k * a[k] * self.coeffs[n - k]
-            a[n] = acc / n
-        return PowerSeries(tuple(a), self.order)
 
 
 def symplectic_zeta_series(dims: Sequence[int], order: int) -> PowerSeries:

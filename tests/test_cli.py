@@ -512,6 +512,20 @@ def test_integers_past_the_float_range_exit_2(capsys, tmp_path):
     assert "term 3 is too large for a float" in capsys.readouterr().err
 
 
+def test_integers_past_the_float_range_outside_the_window(capsys, tmp_path):
+    """The growth proxy reads only the tail window, so a term before it may
+    be past the float range."""
+    huge = 10**400
+    payload = payload_of(capsys, ["series", "--dims", f"{huge},1,1"])
+    assert payload["radius_estimate"] == 1.0
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"components": [{"kind": "pseudo-anosov", "dims": [huge, 1, 1]}]}))
+    payload = payload_of(capsys, ["assemble", "--class", str(spec), "--report"])
+    assert payload["dims"][0] == {"n": 1, "dim": huge}
+    assert payload["report"]["sequence_estimate"] == 1.0
+    assert payload["report"]["window"] == [2, 3]
+
+
 def documented_commands():
     """Each `floergrowth ...` line of the sh blocks in the README and the
     input-format docs, as an argument list without the program name."""

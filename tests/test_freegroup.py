@@ -172,6 +172,15 @@ def test_endomorphism_json_roundtrip(golden):
         assert Endomorphism.from_json(data) == f
 
 
+def test_endomorphism_json_refuses_extra_matrices():
+    """The retired field is refused by the map format's own reader, whatever
+    it holds, so a library caller gets the refusal the CLI reports."""
+    for extra in ([[["1"]]], [], None):
+        data = {"rank": 2, "images": ["a b", "a"], "extra_matrices": extra}
+        with pytest.raises(ValueError, match="'extra_matrices' is retired"):
+            Endomorphism.from_json(data)
+
+
 def test_endomorphism_validation():
     with pytest.raises(ValueError):
         Endomorphism(2, (Word((1,)),))  # wrong number of images

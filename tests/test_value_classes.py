@@ -1,6 +1,6 @@
 """The package's value classes: constructor fields, repr, ==, hash,
 immutability, copy and pickle, and a CLI import that stays free of
-``dataclasses``."""
+``dataclasses`` and ``logging``."""
 
 import copy
 import os
@@ -129,14 +129,6 @@ def test_representation_ignores_its_tables():
     assert "_letters" not in repr(a) and "_eye" not in repr(a)
 
 
-def test_growth_report_defaults_are_not_shared():
-    first, second = GrowthReport(1.0, 1.0, 1.0, None), GrowthReport(1.0, 1.0, 1.0, None)
-    assert first.entropy_log == {} and first.provenance == {} and first.window is None
-    first.entropy_log["lower_bound"] = 0.0
-    first.provenance["lower_bound"] = "given"
-    assert second.entropy_log == {} and second.provenance == {}
-
-
 def test_component_spec_fields_follow_the_constructor():
     """from_json passes every field after kind by name."""
     data = {"kind": "fixed-c", "dim": [1, 2], "prongs": 2, "count": 3, "genus": 5}
@@ -148,9 +140,13 @@ def test_component_spec_fields_follow_the_constructor():
 
 def test_cli_import_loads_no_dataclasses():
     """Each CLI call is a fresh process, so its import stays light: no
-    ``dataclasses``, which would pull in ``inspect`` and ``ast``."""
+    ``dataclasses``, which would pull in ``inspect`` and ``ast``, and no
+    ``logging``, which only a ``--verbose`` run loads."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, floergrowth.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import sys, floergrowth.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
