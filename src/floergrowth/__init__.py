@@ -2,7 +2,7 @@
 for iterated surface maps, built on free-group calculus over the mapping
 torus group ring."""
 
-from .foxcalc import RingElem, RingMatrix, chain_matrices, fox_derivative, jacobian
+from .foxcalc import RingElem, RingMatrix, fox_derivative, jacobian
 from .freegroup import Endomorphism, Word
 from .groupring import (
     HElem,
@@ -60,7 +60,6 @@ __all__ = [
     "RingMatrix",
     "fox_derivative",
     "jacobian",
-    "chain_matrices",
     "HElem",
     "NormInterval",
     "orbit_coordinate",

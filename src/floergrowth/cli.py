@@ -312,7 +312,7 @@ def _cmd_bounds(args) -> dict:
         )
     f = _load_endo(args)
     rep = _load_rep(args, f)
-    report = full_report(f, rep=rep, n_iterates=args.n, search_depth=args.depth)
+    report = full_report(f, rep=rep, n_iterates=args.n)
     payload = report.to_json()
     payload["certification"] = {
         "lower_bound": _zeta_certification(rep),
@@ -465,9 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_options(p)
     _add_rep_options(p)
     p.add_argument("--n", type=int, default=6, help="iterates for the sequence proxy")
-    p.add_argument(
-        "--depth", type=int, default=DEFAULT_SEARCH_DEPTH, help="conjugator search depth"
-    )
 
     p = sub.add_parser("growth", help="tail-window growth proxy of a sequence")
     p.set_defaults(handler=_cmd_growth)

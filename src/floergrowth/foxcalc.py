@@ -8,9 +8,9 @@ is rendered.  The derivative of a word is computed in one left-to-right pass
 over its letters: a positive letter a_j contributes the prefix before it, a
 negative letter a_j^-1 contributes minus the prefix *including* it.
 
-``chain_matrices`` pairs the Fox matrix with the unit (1) of the one vertex:
-the whole lifted chain map of a rose.  ``RingElem.parse`` reads back what
-``to_text`` renders.
+The Fox matrix (``jacobian``) is the degree-1 lift of the chain map of a
+rose, one row per petal; degree 0, the one vertex, is the unit (1).
+``RingElem.parse`` reads back what ``to_text`` renders.
 """
 
 from __future__ import annotations
@@ -250,10 +250,3 @@ def jacobian(f: Endomorphism) -> RingMatrix:
         )
     )
 
-
-def chain_matrices(f: Endomorphism) -> tuple[RingMatrix, RingMatrix]:
-    """The whole lifted chain map (C0, C1) of the rose: degree 0 is (1), the
-    one vertex, and degree 1 the Fox matrix, one row per petal.  A surface
-    with boundary deformation-retracts onto a rose, so these two degrees are
-    its whole complex."""
-    return (RingMatrix(((RingElem.one(),),)), jacobian(f))

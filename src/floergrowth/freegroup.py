@@ -18,14 +18,13 @@ input; plain read-only records are ``typing.NamedTuple``s.
 
 from __future__ import annotations
 
-import string
 from collections import Counter
 from operator import index, neg
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-_LOWER = string.ascii_lowercase
+_LOWER = "abcdefghijklmnopqrstuvwxyz"
 _MAX_NAMED = len(_LOWER)
 _NAMES = {s * i: ch if s > 0 else ch.upper() for i, ch in enumerate(_LOWER, 1) for s in (1, -1)}
 MAX_PARSED_LETTERS = 10**6  # Word.parse refuses longer words before expanding ^k
@@ -289,8 +288,10 @@ class Endomorphism(Frozen):
             raise ValueError(
                 "field 'extra_matrices' is retired; a map file holds only rank and images"
             )
-        rank = as_integer(data["rank"], "rank")
-        return cls(rank, tuple(Word.parse(s, rank) for s in data["images"]))
+        rank, images = as_integer(data["rank"], "rank"), data["images"]
+        if not isinstance(images, list):  # a string or object would iterate
+            raise TypeError(f"images must be a list of words, got {type(images).__name__}")
+        return cls(rank, tuple(Word.parse(s, rank) for s in images))
 
 
 # -- small integer-matrix helpers used across the package ------------------

@@ -5,8 +5,9 @@ by z acting as the endomorphism.  A homogeneous element is written z^n * u
 with u in the group ring of the fiber; moving a body across z^k twists it by
 the k-th iterate, which is the whole content of ``h_matmul``.  So
 (z M)^n = z^n f^(n-1)(M) ... f(M) M, the chain rule of Fox calculus, and
-``reidemeister_trace`` builds it one twisted left factor at a time, for the
-two degrees of the rose chain: (1) and the Fox matrix.
+``reidemeister_trace`` builds it one twisted left factor at a time for the
+Fox matrix, the degree-1 block of the rose chain.  The degree-0 block is the
+vertex's unit (1), which twisting fixes, so its n-th power is 1.
 
 Norms of the Reidemeister trace are reported as certified intervals.  Terms
 are first split by an abelianized orbit invariant (different labels can never
@@ -24,7 +25,7 @@ from collections import deque
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .foxcalc import RingElem, RingMatrix, chain_matrices
+from .foxcalc import RingElem, RingMatrix, jacobian
 from .freegroup import (
     Endomorphism,
     Frozen,
@@ -117,20 +118,16 @@ def orbit_coordinate(g: Word, f: Endomorphism, n: int) -> tuple[int, ...]:
 # -- Reidemeister trace -------------------------------------------------------
 
 def reidemeister_trace(f: Endomorphism, n: int) -> HElem:
-    """Alternating sum of homogeneous traces of the n-th twisted chain powers:
-    degree 0, the vertex (1), minus degree 1, the Fox matrix, which is the
-    whole rose chain (``chain_matrices``)."""
+    """Alternating sum over the rose chain of the homogeneous traces of the
+    n-th twisted powers: 1 for the vertex, minus the trace for the Fox
+    matrix."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = RingElem.zero()
-    for d, mat in enumerate(chain_matrices(f)):
-        power = mat
-        for k in range(1, n):
-            # mat on the left: only the small factor is twisted, by f^k
-            power = h_matmul(mat, power, k, f)
-        term = power.trace()
-        acc = acc + (term if d % 2 == 0 else -term)
-    return HElem(n, acc)
+    fox = power = jacobian(f)
+    for k in range(1, n):
+        # fox on the left: only the small factor is twisted, by f^k
+        power = h_matmul(fox, power, k, f)
+    return HElem(n, RingElem.one() - power.trace())
 
 
 class NormInterval(NamedTuple):

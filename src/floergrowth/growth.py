@@ -3,9 +3,9 @@
 The growth of a nonnegative sequence is max(1, limsup a_n^(1/n)).  A finite
 sample only supports a proxy: the max of a_n^(1/n) over the tail half of the
 data, reported together with the window.  Upper bounds come from group-ring
-norms of the chain matrices (total norm, and the sharper spectral radius of
-the entrywise-norm matrix); lower bounds come from zeros and poles of a
-twisted zeta function.
+norms of the Fox matrix (total norm, and the sharper spectral radius of the
+entrywise-norm matrix), at least 1 for the rose's vertex; lower bounds come
+from zeros and poles of a twisted zeta function.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .foxcalc import chain_matrices
+from .foxcalc import jacobian
 from .freegroup import Endomorphism, IntMatrix
-from .groupring import DEFAULT_SEARCH_DEPTH, matrix_norm, norm_matrix, reidemeister_interval
+from .groupring import matrix_norm, norm_matrix, reidemeister_interval
 from .ratfunc import CrossCheckError, det_one_minus_t, poly_roots
 from .reptheory import Representation, trivial_representation, twisted_zeta
 
@@ -129,13 +129,15 @@ def spectral_radius(mat: IntMatrix) -> float:
 
 
 def upper_bound_norm(f: Endomorphism) -> float:
-    """max over chain degrees of the total group-ring norm."""
-    return float(max(matrix_norm(m) for m in chain_matrices(f)))
+    """max over the rose chain of the total group-ring norm: 1 for the
+    vertex's unit, or the Fox matrix's norm."""
+    return float(max(1, matrix_norm(jacobian(f))))
 
 
 def upper_bound_spectral(f: Endomorphism) -> float:
-    """max over chain degrees of the spectral radius of the norm matrix."""
-    return max(spectral_radius(norm_matrix(m)) for m in chain_matrices(f))
+    """max over the rose chain of the spectral radius of the norm matrix: 1
+    for the vertex's unit, or the Fox matrix's radius.  So it is at least 1."""
+    return max(1.0, spectral_radius(norm_matrix(jacobian(f))))
 
 
 def lower_bound_zeta(f: Endomorphism, rep: Representation | None = None) -> float:
@@ -177,7 +179,6 @@ def full_report(
     f: Endomorphism,
     rep: Representation | None = None,
     n_iterates: int = 6,
-    search_depth: int = DEFAULT_SEARCH_DEPTH,
 ) -> GrowthReport:
     """Assemble all bounds; the measured sequence is the certified interval
     uppers of the first ``n_iterates`` iterates."""
@@ -196,12 +197,8 @@ def full_report(
         raise CrossCheckError(
             f"bound sandwich violated: lower {lower} > spectral upper {spectral}"
         )
-    uppers = [
-        reidemeister_interval(f, n, search_depth=search_depth).upper
-        for n in range(1, n_iterates + 1)
-    ]
+    uppers = [reidemeister_interval(f, n).upper for n in range(1, n_iterates + 1)]
     est = growth_estimate(uppers)
-    # the degree-0 chain block (1) makes the spectral upper at least 1
     entropy = {
         "lower_bound": math.log(lower),
         "upper_bound_spectral": math.log(spectral),

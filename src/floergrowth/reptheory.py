@@ -9,16 +9,17 @@ column p[r]) and give integer entries, unitary images are complex matrices
 (checked unitary to 1e-8) and give complex ones.  One code path serves
 both, and the entries pick the arithmetic.  A representation is valid when
 conjugating each generator matrix by the z matrix reproduces the matrix of
-the generator's image.
+the generator's image.  The rose chain twists to two blocks: Z, the matrix
+of z, for the vertex's unit (1), and the twisted Fox matrix for the petals.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .foxcalc import RingMatrix, chain_matrices
+from .foxcalc import RingMatrix, jacobian
 from .freegroup import Endomorphism, Frozen, Word, as_integer, mat_trace, sparse_mat_mul, sparse_rows
-from .ratfunc import RationalFunction, det_one_minus_t, poly_mul
+from .ratfunc import RationalFunction, det_one_minus_t
 
 UNITARY_TOL = 1e-8
 # Largest twisted block (chain size x representation dimension) accepted.
@@ -242,45 +243,42 @@ def check_block_size(f: Endomorphism, dim: int):
 
 
 def _degree_blocks(f: Endomorphism, rep: Representation):
+    """The twisted blocks of the rose chain: Z, the matrix of z, for the
+    vertex's unit (1), and the twisted Fox matrix."""
     check_block_size(f, rep.dim)
-    return [twist_matrix(mat, rep) for mat in chain_matrices(f)]
+    return sparse_mat_mul(rep.z_image, rep._eye), twist_matrix(jacobian(f), rep)
 
 
-def twisted_lefschetz(f: Endomorphism, rep: Representation, n: int) -> list:
-    """Twisted Lefschetz numbers [L(f^1), ..., L(f^n)]: alternating sums over
-    chain degrees of the traces of the powers of the twisted blocks.
-
-    Each block is twisted once and its powers are taken in one pass of
-    sparse products.  Exact (int) for permutation representations, complex
-    for unitary ones.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = [0] * n
-    for d, b in enumerate(_degree_blocks(f, rep)):
-        power = b
-        rows = sparse_rows(b)
-        for k in range(n):
-            if k:
-                power = sparse_mat_mul(rows, power)
-            tr = mat_trace(power)
-            out[k] += tr if d % 2 == 0 else -tr
+def _power_traces(block, n: int) -> list:
+    """[tr B, tr B^2, ..., tr B^n], the powers taken in one pass of sparse
+    products."""
+    rows = sparse_rows(block)
+    power, out = block, [mat_trace(block)]
+    for _ in range(n - 1):
+        power = sparse_mat_mul(rows, power)
+        out.append(mat_trace(power))
     return out
 
 
-def twisted_zeta(f: Endomorphism, rep: Representation) -> RationalFunction:
-    """The twisted zeta function as a ratio of characteristic determinants.
+def twisted_lefschetz(f: Endomorphism, rep: Representation, n: int) -> list:
+    """Twisted Lefschetz numbers [L(f^1), ..., L(f^n)]: the traces of the
+    powers of the vertex block Z minus those of the twisted Fox block.
 
-    Odd chain degrees multiply the numerator, even ones the denominator, so
-    the logarithmic series reproduces the twisted traces iterate by iterate.
-    The blocks' entries pick the arithmetic: integers for permutation
-    representations, complex floats for unitary ones.
+    The Fox matrix is twisted once.  Exact (int) for permutation
+    representations, complex for unitary ones.
     """
-    num = den = (1,)
-    for d, b in enumerate(_degree_blocks(f, rep)):
-        p = det_one_minus_t(b)
-        if d % 2 == 1:
-            num = poly_mul(num, p)
-        else:
-            den = poly_mul(den, p)
-    return RationalFunction.from_parts(num, den)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    vertex, fox = _degree_blocks(f, rep)
+    return [v - b for v, b in zip(_power_traces(vertex, n), _power_traces(fox, n))]
+
+
+def twisted_zeta(f: Endomorphism, rep: Representation) -> RationalFunction:
+    """The twisted zeta function det(I - tB) / det(I - tZ), B the twisted Fox
+    block (degree 1) and Z the matrix of z (degree 0), so the logarithmic
+    series reproduces the twisted traces iterate by iterate.  The blocks'
+    entries pick the arithmetic: integers for permutation representations,
+    complex floats for unitary ones.
+    """
+    vertex, fox = _degree_blocks(f, rep)
+    return RationalFunction.from_parts(det_one_minus_t(fox), det_one_minus_t(vertex))

@@ -15,7 +15,7 @@ import numpy as np
 
 from floergrowth.foxcalc import (
     RingElem,
-    chain_matrices,
+    RingMatrix,
     fox_derivative,
     jacobian,
 )
@@ -252,7 +252,7 @@ def test_criterion_10_radius_bounds():
     exact_ok = True
     for f in CORPUS.values():
         uppers = [reidemeister_interval(f, n).upper for n in range(1, 7)]
-        f0, f1 = chain_matrices(f)
+        f0, f1 = RingMatrix.identity(1), jacobian(f)
         w_norm = max(matrix_norm(m) for m in (f0, f1))  # exact integer
         exact_ok = exact_ok and all(
             a <= w_norm**n for n, a in enumerate(uppers, start=1)

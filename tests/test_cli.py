@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from floergrowth import cli, growth, ratfunc
+from floergrowth import cli, growth, ratfunc, torus
 from floergrowth.cli import EXIT_CROSSCHECK, EXIT_INPUT, EXIT_OK, EXIT_UNCERTIFIED, run
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -114,15 +114,33 @@ def test_twisted_block_cap(capsys, monkeypatch, command):
 
 
 def test_cross_check_failures_exit_4(capsys, monkeypatch):
-    monkeypatch.setattr(growth, "_block_power_iteration", lambda block: 0.0)
-    assert run(["bounds", "--images", "a b, a"]) == EXIT_CROSSCHECK
-    captured = capsys.readouterr()
-    assert "spectral radius cross-check failed" in captured.err
-    assert captured.out == ""
+    def assert_cross_check(argv, message):
+        assert run(argv) == EXIT_CROSSCHECK
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err, captured.err
+        assert captured.out == ""
+
+    with monkeypatch.context() as m:
+        m.setattr(growth, "_block_power_iteration", lambda block: 0.0)
+        assert_cross_check(["bounds", "--images", "a b, a"], "spectral radius cross-check failed")
+
+    with monkeypatch.context() as m:
+        # golden's zeta lower bound is phi, above this spectral upper
+        m.setattr(growth, "upper_bound_spectral", lambda f: 1.0)
+        assert_cross_check(["bounds", "--images", "a b, a"], "bound sandwich violated")
+
+    with monkeypatch.context() as m:
+        # A - I = [[1, 1], [1, 0]] has |det| 1, not the product 6
+        m.setattr(torus, "smith_normal_form", lambda mat: ((2, 3), None, None))
+        assert_cross_check(
+            ["torus", "--matrix", "2,1,1,1", "--n", "1"],
+            "Smith diagonal product disagrees with the determinant",
+        )
 
     monkeypatch.setattr(ratfunc, "sparse_mat_mul", lambda rows, b: [[1] * len(b) for _ in b])
-    assert run(["zeta-twisted", "--images", "a a b, a b", "--modulus", "2"]) == EXIT_CROSSCHECK
-    assert "not divisible" in capsys.readouterr().err
+    assert_cross_check(
+        ["zeta-twisted", "--images", "a a b, a b", "--modulus", "2"], "not divisible"
+    )
 
 
 def test_zeta_twisted_unitary_strict(capsys, tmp_path):
@@ -653,6 +671,13 @@ MALFORMED_FILES = [
     pytest.param(["trace", "--n", "2", "--map"], {"images": ["a b", "a"]}, id="map-rank-missing"),
     pytest.param(["trace", "--n", "2", "--map"], {"rank": 2, "images": [1, 2]}, id="map-images-numbers"),
     pytest.param(["fox", "--map"], [1, 2], id="map-top-level-list"),
+    # images iterated as a string's letters or an object's keys would run
+    pytest.param(["fox", "--map"], {"rank": 2, "images": "ba"}, id="map-images-string"),
+    pytest.param(
+        ["trace", "--n", "2", "--map"],
+        {"rank": 2, "images": {"a b": 0, "a": 0}},
+        id="map-images-object",
+    ),
     # a retired extra_matrices field is refused whatever it holds
     pytest.param(
         ["zeta-twisted", "--map"],
@@ -833,7 +858,7 @@ import contextlib, io, json, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import floergrowth
 from floergrowth import cli
-from floergrowth.foxcalc import chain_matrices
+from floergrowth.foxcalc import RingMatrix, jacobian
 from floergrowth.freegroup import Endomorphism
 from floergrowth.reptheory import (
     Representation, abelian_quotient_rep, twist_matrix, twisted_lefschetz, twisted_zeta,
@@ -853,7 +878,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         "z": [[[0.6 * x, 0.8 * x] for x in row] for row in perm["z"]],
     })
     assert validate_rep(rep, golden)[0]
-    for mat in chain_matrices(golden):
+    for mat in (RingMatrix.identity(1), jacobian(golden)):
         twist_matrix(mat, rep)
     twisted_lefschetz(golden, rep, 4)
     assert not twisted_zeta(golden, rep).exact

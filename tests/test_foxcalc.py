@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from floergrowth.foxcalc import (
     RingElem,
     RingMatrix,
-    chain_matrices,
     fox_derivative,
     jacobian,
 )
@@ -69,12 +68,6 @@ def test_jacobian_examples(identity2, doubling, golden):
             (elem("1"), elem("0")),
         )
     )
-
-
-def test_chain_matrices_shapes(golden):
-    f0, f1 = chain_matrices(golden)
-    assert f0 == RingMatrix.identity(1)
-    assert f1 == jacobian(golden)
 
 
 def test_jacobian_chain_rule():

@@ -181,6 +181,14 @@ def test_endomorphism_json_refuses_extra_matrices():
             Endomorphism.from_json(data)
 
 
+def test_endomorphism_json_needs_a_list_of_images():
+    """A string would be read letter by letter ("ba" as the swap) and an
+    object by its keys ({"a b": 0, "a": 0} as golden), so both are refused."""
+    for images in ("ba", {"a b": 0, "a": 0}):
+        with pytest.raises(TypeError, match="images must be a list of words"):
+            Endomorphism.from_json({"rank": 2, "images": images})
+
+
 def test_endomorphism_validation():
     with pytest.raises(ValueError):
         Endomorphism(2, (Word((1,)),))  # wrong number of images

@@ -140,12 +140,13 @@ def test_component_spec_fields_follow_the_constructor():
 
 def test_cli_import_loads_no_dataclasses():
     """Each CLI call is a fresh process, so its import stays light: no
-    ``dataclasses``, which would pull in ``inspect`` and ``ast``, and no
-    ``logging``, which only a ``--verbose`` run loads."""
+    ``dataclasses``, which would pull in ``inspect`` and ``ast``, no
+    ``logging``, which only a ``--verbose`` run loads, and no ``string``,
+    whose one constant the word parser spells out."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys, floergrowth.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'logging', 'string'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
